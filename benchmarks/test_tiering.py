@@ -17,7 +17,9 @@ comparison is steady-state tier performance.
 
 Results go to ``BENCH_tiering.json``: per-app host seconds and speedup,
 promotion counts, trace-dispatch coverage, and trace-length histograms,
-plus a serving-replay case exercising the cross-session hotness rollup.
+plus a serving-replay case exercising the cross-session hotness rollup,
+and the first-call host time of a fresh process with the process-wide
+host-code cache (:mod:`repro.target.hostcode`) cold and warm.
 The acceptance headline is a >= 1.3x host speedup over the block engine
 on at least 3 Figure-4 apps with identical modeled cycles everywhere.
 """
@@ -25,12 +27,14 @@ on at least 3 Figure-4 apps with identical modeled cycles everywhere.
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 
 from repro import Engine, report
 from repro.apps import ALL_APPS, FIGURE4_APPS
 from repro.core.driver import TccCompiler
+from repro.target import hostcode
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_tiering.json"
 
@@ -44,6 +48,11 @@ REPEATS = {"hash": 1500, "ms": 25, "heap": 5, "ntn": 1500, "cmp": 80,
 
 WARMUP = 12          # calls per engine before timing: promotions settle
 ROUNDS = 5           # interleaved best-of rounds
+
+#: Ceiling on the warm/cold first-call host-time ratio (also gated by
+#: benchmarks/trend.py).  Both sides are measured in the same run, so
+#: the ratio does not depend on the machine's speed.
+FIRST_CALL_CEILING = 0.6
 
 
 def _setup(app, engine):
@@ -228,6 +237,45 @@ def test_serving_replay_tiered_vs_block():
     assert best_b / best_t >= 1.1, (best_b, best_t)
 
 
+def _first_call_s(program, app):
+    """Host seconds of the first call into ``app``'s generated code in a
+    fresh process (the build is not timed)."""
+    proc = program.start(backend="icode")
+    ctx = app.setup(proc)
+    entry = proc.run(app.builder, *app.builder_args(ctx))
+    fn = proc.function(entry, app.dyn_signature, app.dyn_returns)
+    t0 = time.perf_counter()
+    app.dyn_call(fn, ctx)
+    return time.perf_counter() - t0
+
+
+def test_first_call_with_host_code_cache_cold_vs_warm():
+    """A fresh process's first call pays host compilation for every
+    superblock and trace it reaches.  With the host-code cache warm (an
+    earlier process ran the same program), that compile is a digest
+    probe; the ratio is the geometric mean over the Figure-4 apps of
+    per-app best-of-``ROUNDS`` warm/cold first-call times."""
+    rows = {}
+    for name in FIGURE4_APPS:
+        app = ALL_APPS[name]
+        program = TccCompiler().compile(app.source, filename=f"<{name}>")
+        best_cold = best_warm = float("inf")
+        for _ in range(ROUNDS):
+            hostcode.clear()
+            best_cold = min(best_cold, _first_call_s(program, app))
+            best_warm = min(best_warm, _first_call_s(program, app))
+        rows[name] = {"cold_ms": round(best_cold * 1e3, 3),
+                      "warm_ms": round(best_warm * 1e3, 3),
+                      "ratio": round(best_warm / best_cold, 3)}
+    ratio = math.prod(r["ratio"] for r in rows.values()) ** (1 / len(rows))
+    _RESULTS["first_call"] = {
+        "apps": rows,
+        "warm_cold_ratio": round(ratio, 3),
+        "ceiling": FIRST_CALL_CEILING,
+    }
+    assert ratio <= FIRST_CALL_CEILING, rows
+
+
 def test_write_bench_json():
     """Persist the tiering comparison (runs after the cases above)."""
     assert _RESULTS["figure4"], "tiering benchmarks did not run"
@@ -241,6 +289,8 @@ def test_write_bench_json():
                                 if r["promotions"] > 0),
         "modeled_cycles_identical_everywhere": all(
             r["modeled_cycles_identical"] for r in fig4.values()),
+        "first_call_warm_cold_ratio": payload.get(
+            "first_call", {}).get("warm_cold_ratio"),
     }
     payload["description"] = (
         "Tiered-engine benchmark: interleaved best-of host seconds for "

@@ -12,7 +12,10 @@ surface across commits.  Two gates fail the build with exit code 1:
 * ``BENCH_tiering.json`` must not show the tiered engine *slower* than
   the block engine on any Figure-4 app — speedups below :data:`FLOOR`
   (a small allowance for shared-runner timing noise; the real bar of
-  >= 1.3x on >= 3 apps is asserted by the benchmark itself);
+  >= 1.3x on >= 3 apps is asserted by the benchmark itself), and its
+  first call into a fresh process with the host-code cache warm must
+  take at most :data:`FIRST_CALL_CEILING` of the time it takes cold
+  (both measured in the same run, so machine speed cancels out);
 * ``BENCH_warmstart.json`` must show the persistent-cache warm phase
   with zero cold compiles and a cold/warm modeled-cycle speedup of at
   least :data:`WARMSTART_FLOOR`;
@@ -39,6 +42,10 @@ SUMMARY_PATH = ROOT / "BENCH_summary.json"
 #: Minimum tiered-vs-block speedup tolerated per Figure-4 app before the
 #: trend gate calls it a regression (0.95 absorbs host timing jitter).
 FLOOR = 0.95
+
+#: Most the warm host-code cache's first call may cost, as a fraction
+#: of the cold one (BENCH_tiering.json's ``first_call`` ratio).
+FIRST_CALL_CEILING = 0.6
 
 #: Minimum cold/warm modeled-codegen-cycle speedup BENCH_warmstart.json
 #: must show before the gate calls the persistent cache a regression.
@@ -80,6 +87,20 @@ def tiering_regressions(summary: dict) -> list:
         if isinstance(speedup, (int, float)) and speedup < FLOOR:
             slow.append((app, speedup))
     return slow
+
+
+def first_call_regressions(summary: dict) -> list:
+    """Host-code cache gate: warm/cold first-call ratio over the ceiling."""
+    tiering = summary.get("BENCH_tiering")
+    if not isinstance(tiering, dict) or "first_call" not in tiering:
+        return []
+    ratio = tiering["first_call"].get("warm_cold_ratio")
+    if not isinstance(ratio, (int, float)):
+        return ["first_call carries no warm_cold_ratio"]
+    if ratio > FIRST_CALL_CEILING:
+        return [f"warm/cold first-call host time {ratio} over the "
+                f"{FIRST_CALL_CEILING} ceiling"]
+    return []
 
 
 def warmstart_regressions(summary: dict) -> list:
@@ -153,6 +174,7 @@ def main() -> int:
         print("trend: no BENCH_*.json artifacts found; run benchmarks/ first")
         return 1
     slow = tiering_regressions(summary)
+    first_call = first_call_regressions(summary)
     cold_starts = warmstart_regressions(summary)
     elision = analysis_regressions(summary)
     slo_breaches = serving_slo_regressions(summary)
@@ -162,6 +184,8 @@ def main() -> int:
         "tiering_regressions": [
             {"app": app, "speedup": speedup} for app, speedup in slow
         ],
+        "first_call_ceiling": FIRST_CALL_CEILING,
+        "first_call_regressions": first_call,
         "warmstart_floor": WARMSTART_FLOOR,
         "warmstart_regressions": cold_starts,
         "analysis_floor_pct": ANALYSIS_FLOOR,
@@ -182,6 +206,14 @@ def main() -> int:
         fig4 = summary["BENCH_tiering"].get("figure4", {})
         print(f"trend: tiered >= {FLOOR}x block on all "
               f"{len(fig4)} Figure-4 apps")
+    if first_call:
+        for problem in first_call:
+            print(f"trend: REGRESSION host-code cache: {problem}")
+        failed = True
+    elif "first_call" in summary.get("BENCH_tiering", {}):
+        ratio = summary["BENCH_tiering"]["first_call"]["warm_cold_ratio"]
+        print(f"trend: host-code cache warm/cold first call {ratio} "
+              f"(ceiling {FIRST_CALL_CEILING})")
     if cold_starts:
         for problem in cold_starts:
             print(f"trend: REGRESSION warm start: {problem}")

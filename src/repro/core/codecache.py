@@ -397,9 +397,23 @@ class CodeTemplate:
         self.checksum = _body_checksum(self.instructions)
         return self
 
-    def verify_integrity(self) -> bool:
-        """True when the body still hashes to the stored checksum."""
-        return _body_checksum(self.instructions) == self.checksum
+    def pinned(self):
+        """A private copy of this template whose body passed the
+        integrity checksum, or None when the body was tampered with.
+
+        The body is copied *first* and the copy is what gets checked and
+        later cloned, so the instructions verified are exactly the
+        instructions installed: tampering with the shared template after
+        the check (a concurrent session's poisoning) cannot reach the
+        clone."""
+        rows = tuple((i.op, i.a, i.b, i.c) for i in self.instructions)
+        if hash(rows) != self.checksum:
+            return None
+        copy = object.__new__(CodeTemplate)
+        for name in self.__slots__:
+            setattr(copy, name, getattr(self, name))
+        copy.instructions = [Instruction(*row) for row in rows]
+        return copy
 
     def links_into(self, segment) -> bool:
         """True when every callee symbol this body calls resolves to the
@@ -535,18 +549,20 @@ class CodeCache:
         return None
 
     def _pick(self, candidates, signature, memory, segment):
-        """Scan candidate templates lock-free; evict poisoned ones."""
+        """Scan candidate templates lock-free; evict poisoned ones.
+        Returns a :meth:`CodeTemplate.pinned` copy."""
         for template in candidates:
             if not template.matches(signature):
                 continue
-            if not template.verify_integrity():
+            pinned = template.pinned()
+            if pinned is None:
                 self.evict_template(signature, template)
                 _POISONED.inc()
                 continue
             if segment is not None and not template.links_into(segment):
                 continue
             if _guards_hold(template.guards, memory):
-                return template
+                return pinned
         return None
 
     def _load_from_disk(self, signature, segment):

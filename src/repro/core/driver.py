@@ -21,6 +21,7 @@ the selected dynamic back end.
 
 from __future__ import annotations
 
+import difflib
 import enum
 import os
 import re
@@ -155,6 +156,30 @@ def _split_prelude():
             ("memset", "void memset" + PRELUDE_SOURCE.split("void memset")[1])]
 
 
+#: Every option name :meth:`CompiledProgram.start` accepts (and
+#: documents); any other name raises ``TypeError``.
+START_OPTIONS = frozenset({
+    "backend", "regalloc", "static_opt", "allow_spills",
+    "optimize_dynamic_ir", "dynamic_peephole", "strength_reduction",
+    "dynamic_unrolling", "max_unroll", "reorder_cspec_operands",
+    "compile_static", "fallback", "codecache", "code_templates",
+    "codecache_dir", "template_store", "retier", "retier_cost_ratio",
+    "spec_fuel", "verify", "analysis", "telemetry", "tracer",
+    "fuel", "icache", "code_capacity", "engine", "tiering",
+    "tiering_shared",
+})
+
+
+def _check_start_options(options) -> None:
+    unknown = sorted(set(options) - START_OPTIONS)
+    if not unknown:
+        return
+    name = unknown[0]
+    close = difflib.get_close_matches(name, START_OPTIONS, n=1)
+    hint = f"; did you mean {close[0]!r}?" if close else ""
+    raise TypeError(f"start() got an unknown option {name!r}{hint}")
+
+
 class CompiledProgram:
     """The output of static compilation: an analyzed translation unit with
     code-generating functions attached to every tick expression."""
@@ -172,6 +197,14 @@ class CompiledProgram:
         ``static_opt``    "lcc" or "gcc" (default "lcc")
         ``allow_spills``  VCODE getreg spilling (default True)
         ``optimize_dynamic_ir``  run the IR optimizer on dynamic code too
+        ``dynamic_peephole``  peephole-optimize dynamic code (default True)
+        ``strength_reduction``  strength-reduce multiply/divide/modulo
+                          by ``$`` constants (default True)
+        ``dynamic_unrolling``  unroll dynamic-code ``for`` loops whose
+                          trip count is known at specification time
+                          (default True)
+        ``max_unroll``    most iterations one loop may unroll before the
+                          compile fails (default 2**20)
         ``reorder_cspec_operands``  tcc's 5.1 heuristic (default True)
         ``compile_static``  compile pure-C functions at start (default True)
         ``fallback``      retry failed ICODE installs on VCODE (default True)
@@ -186,6 +219,8 @@ class CompiledProgram:
                           earlier process compiled (see repro.persist).
                           Ignored when ``template_store`` is supplied —
                           the serving engine owns persistence then.
+        ``template_store``  a shared :class:`repro.serving.store
+                          .TemplateStore` backing the Tier-2 templates
         ``retier``        adaptive VCODE->ICODE re-instantiation when a
                           closure's cumulative exec cycles cross the
                           Fig. 5 recompile crossover (default True; needs
@@ -199,6 +234,8 @@ class CompiledProgram:
                           check + install audit), or "paranoid" (adds the
                           inter-pass IR verifier).  Defaults to
                           ``$REPRO_VERIFY``, else "dev".
+        ``analysis``      dataflow guard elision, "on" or "off" (default
+                          ``$REPRO_ANALYSIS``, else off)
         ``telemetry``     lifecycle tracing: "off" (default), "on", or
                           "sample:N" (see repro.telemetry).  Metrics are
                           always recorded; the knob only controls spans.
@@ -220,7 +257,11 @@ class CompiledProgram:
                           dict of its knobs) for the tiered engine
         ``tiering_shared``  a :class:`repro.tiering.SharedHotness` to
                           seed/publish the cross-session dispatch profile
+
+        Any other option name raises ``TypeError`` naming the closest
+        documented one.
         """
+        _check_start_options(options)
         if machine is None:
             machine_options = {
                 key: options[key]

@@ -151,7 +151,8 @@ def reset_cache_stats() -> None:
 
 _DISPATCH_KEYS = ("blocks_compiled", "instructions_predecoded",
                   "fused_pairs", "block_dispatches", "block_cache_hits",
-                  "blocks_invalidated")
+                  "blocks_invalidated", "hostcode_hits", "hostcode_misses",
+                  "hostcode_evictions")
 _DISPATCH = {key: _REGISTRY.counter(f"dispatch.{key}")
              for key in _DISPATCH_KEYS}
 _FUSED_BY_KIND = _REGISTRY.labeled("dispatch.fused_by_kind")
@@ -159,8 +160,9 @@ _FUSED_BY_KIND = _REGISTRY.labeled("dispatch.fused_by_kind")
 #: Block-dispatch engine counters, fed by
 #: :class:`repro.target.dispatch.BlockEngine`: superblocks compiled,
 #: instructions predecoded into them, superinstruction pairs fused (by
-#: kind), block-granular dispatches, block-cache hits, and blocks
-#: evicted by code-segment invalidation events.
+#: kind), block-granular dispatches, block-cache hits, blocks evicted
+#: by code-segment invalidation events, and the process-wide host-code
+#: cache's hits, misses and evictions (:mod:`repro.target.hostcode`).
 DISPATCH_STATS = _StatsView({
     **{key: (lambda c=_DISPATCH[key]: c.value) for key in _DISPATCH_KEYS},
     "fused_by_kind": _FUSED_BY_KIND.snapshot,
@@ -185,6 +187,11 @@ def record_dispatch(dispatches: int, cache_hits: int) -> None:
 def record_block_invalidation(dropped: int) -> None:
     """Record blocks evicted by a segment rollback/fault event."""
     _DISPATCH["blocks_invalidated"].inc(int(dropped))
+
+
+def record_hostcode(kind: str, n: int = 1) -> None:
+    """Record host-code cache ``hits``, ``misses`` or ``evictions``."""
+    _DISPATCH[f"hostcode_{kind}"].inc(n)
 
 
 def dispatch_stats() -> dict:
@@ -632,6 +639,12 @@ def report_hot(top: int = 10) -> str:
     lines.append(
         f"promotions {stats['promotions']}, trace dispatches "
         f"{stats['trace_dispatches']}, deopts {stats['deopts']}"
+    )
+    host = dispatch_stats()
+    lines.append(
+        f"host code cache: {host['hostcode_hits']} hits, "
+        f"{host['hostcode_misses']} misses, "
+        f"{host['hostcode_evictions']} evictions"
     )
     return "\n".join(lines)
 

@@ -23,7 +23,9 @@ checksums, and guards *outside* it: guard evaluation reads the probing
 session's data memory, and a slow (or adversarial) memory must never
 stall every other session hashing onto the same stripe.  Templates are
 immutable by convention — tampering is exactly what the integrity
-checksum catches — so the lock-free scan is safe.
+checksum catches — so the lock-free scan is safe.  A match returns a
+private, checksum-verified copy of the template's body, so a tamper
+that lands after the check cannot reach the installed clone.
 """
 
 from __future__ import annotations
@@ -96,20 +98,23 @@ class TemplateStore:
         return None
 
     def _pick(self, candidates, signature, memory, segment):
-        """Lock-free scan of snapshotted candidates (see class docs)."""
+        """Lock-free scan of snapshotted candidates (see class docs).
+        Returns a :meth:`~repro.core.codecache.CodeTemplate.pinned` copy,
+        so the body checked is the body cloned."""
         from repro.core.codecache import _guards_hold
 
         for template in candidates:
             if not template.matches(signature):
                 continue
-            if not template.verify_integrity():
+            pinned = template.pinned()
+            if pinned is None:
                 self.evict(signature.shape_key, template)
                 _POISONED.inc()
                 continue
             if segment is not None and not template.links_into(segment):
                 continue
             if _guards_hold(template.guards, memory):
-                return template
+                return pinned
         return None
 
     def evict(self, shape_key, template) -> None:

@@ -237,14 +237,15 @@ class Histogram:
     def percentile(self, q: float):
         """Estimate the ``q``-quantile (``0 <= q <= 1``) from the buckets.
 
-        Returns the upper bound of the bucket containing the quantile
-        rank (the overflow bucket reports the recorded max), or None when
-        the histogram is empty.  The edges are exact rather than bucket
-        estimates: ``q=0`` is the recorded min, ``q=1`` the recorded max,
-        and a single-sample histogram reports that sample (its min) for
-        every quantile.  Values of ``q`` outside ``[0, 1]`` raise
-        ``ValueError``.  Coarse by construction otherwise — exact enough
-        for p50/p99 reporting against fixed bounds.
+        Interpolates linearly within the bucket holding the quantile
+        rank, between the bucket's edges clamped to the recorded
+        ``[min, max]`` (the first bucket starts at the min, the overflow
+        bucket ends at the max), so an estimate never leaves the range of
+        the samples.  Returns None when the histogram is empty.  The
+        edges are exact: ``q=0`` is the recorded min, ``q=1`` the
+        recorded max, and a single-sample histogram reports that sample
+        for every quantile.  Values of ``q`` outside ``[0, 1]`` raise
+        ``ValueError``.
         """
         if not 0 <= q <= 1:
             raise ValueError(f"quantile must be in [0, 1], got {q!r}")
@@ -258,11 +259,12 @@ class Histogram:
             rank = q * self.count
             seen = 0
             for i, n in enumerate(self.buckets):
+                if n and seen + n >= rank:
+                    lo = max(self.bounds[i - 1], self.min) if i else self.min
+                    hi = (min(self.bounds[i], self.max)
+                          if i < len(self.bounds) else self.max)
+                    return min(hi, lo + (hi - lo) * (rank - seen) / n)
                 seen += n
-                if seen >= rank:
-                    if i < len(self.bounds):
-                        return self.bounds[i]
-                    return self.max
             return self.max
 
     def reset(self) -> None:

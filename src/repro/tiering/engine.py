@@ -169,7 +169,7 @@ class TieredEngine(BlockEngine):
                 return                   # a trace of one block is a block
             has_site = trace_has_site(form)
             g = _Gen(entry, use_cy=has_site, has_site=has_site,
-                     icache_on=False, inline_wrap=True, inline_mem=True)
+                     icache_on=False, trace=True)
             fused = emit_trace(g, form)
             fn = self._assemble(g)
             if self._poison_next:

@@ -379,3 +379,26 @@ class TestTransactionalClone:
         assert proc.function(entry, "i", "i")(1) == 43
         poisoned = REGISTRY.counter("cache.poisoned_evictions").value
         assert poisoned == poisoned_before + 1
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_tamper_between_match_and_clone_never_reaches_the_clone(
+            self, monkeypatch, shared):
+        # Another session may tamper with a shared template after this
+        # session's match verified it but before the clone is built.
+        # The match hands out a private, already-verified copy of the
+        # body, so the clone installs the bytes that were checked.
+        store = TemplateStore() if shared else None
+        proc = compile_c(ADDER, template_store=store)
+        proc.run("build", 10)
+        original = CodeCache.instantiate_template
+
+        def tamper_then_clone(self, template, signature, machine, cost):
+            assert self.tamper_first()
+            return original(self, template, signature, machine, cost)
+
+        monkeypatch.setattr(CodeCache, "instantiate_template",
+                            tamper_then_clone)
+        entry = proc.run("build", 42)
+        assert proc._compile_path == "patched"
+        assert proc.function(entry, "i", "i")(1) == 43
+        assert proc.function(entry, "i", "i")(-42) == 0

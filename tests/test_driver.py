@@ -70,6 +70,20 @@ class TestProcessOptions:
         with pytest.raises(CodegenError, match="not statically compiled"):
             proc.static_function("f")
 
+    def test_misspelled_options_rejected_with_closest_name(self):
+        prog = TccCompiler().compile("int f(void) { return 0; }")
+        with pytest.raises(TypeError, match="'backnd'.*'backend'"):
+            prog.start(backnd="vcode", enigne="reference")
+        with pytest.raises(TypeError, match="'enigne'.*'engine'"):
+            prog.start(backend="vcode", enigne="reference")
+        with pytest.raises(TypeError, match="unknown option 'zzz'$"):
+            prog.start(zzz=1)
+
+    def test_every_accepted_option_is_documented(self):
+        from repro.core.driver import START_OPTIONS, CompiledProgram
+        doc = CompiledProgram.start.__doc__
+        assert all(f"``{name}``" in doc for name in START_OPTIONS)
+
     def test_unknown_function_run(self):
         proc = compile_c("int f(void) { return 0; }")
         with pytest.raises(TccError, match="no function"):

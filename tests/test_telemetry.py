@@ -14,6 +14,7 @@ The load-bearing invariants (ISSUE acceptance criteria):
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import report
 from repro.apps import ALL_APPS
@@ -97,6 +98,27 @@ class TestMetrics:
         assert h.percentile(1.0) == 900
         mid = h.percentile(0.5)
         assert 1 <= mid <= 900
+
+    def test_histogram_percentile_interpolates_within_a_bucket(self):
+        h = Histogram("x", (10, 100, 1000))
+        for v in (1, 2, 3):
+            h.record(v)
+        # All three samples sit in the first bucket: the estimate comes
+        # from inside [min, max], never from the bucket's upper bound.
+        assert h.percentile(0.5) == 2
+        assert 2 < h.percentile(0.99) <= 3 == h.max
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=60),
+           st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8,
+                    unique=True))
+    def test_histogram_percentiles_stay_ordered_within_min_max(
+            self, samples, bounds):
+        h = Histogram("p", sorted(bounds))
+        for v in samples:
+            h.record(v)
+        p50, p99 = h.percentile(0.5), h.percentile(0.99)
+        assert h.min <= p50 <= p99 <= h.max
 
     def test_histogram_percentile_rejects_bad_quantiles(self):
         h = Histogram("p", (10,))

@@ -162,8 +162,8 @@ class TestTemplateStore:
             def matches(self, signature):
                 return True
 
-            def verify_integrity(self):
-                return True
+            def pinned(self):
+                return self
 
             def links_into(self, segment):
                 return True

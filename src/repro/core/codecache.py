@@ -482,12 +482,10 @@ class CodeCache:
     another thread inspects :meth:`stats`.
     """
 
-    def __init__(self, enabled=True, templates_enabled=True,
-                 memo_capacity=MEMO_CAPACITY,
+    def __init__(self, enabled=True, memo_capacity=MEMO_CAPACITY,
                  templates_per_shape=TEMPLATES_PER_SHAPE,
                  template_store=None, disk=None):
         self.enabled = enabled
-        self.templates_enabled = templates_enabled
         self.memo_capacity = memo_capacity
         self.templates_per_shape = templates_per_shape
         self.template_store = template_store
@@ -529,8 +527,6 @@ class CodeCache:
         templates for this shape are loaded (digest-checked and
         link-verified against ``segment``) and admitted to the bucket.
         """
-        if not self.templates_enabled:
-            return None
         if self.template_store is not None:
             return self.template_store.match(signature, memory, segment)
         with self._lock:
@@ -604,8 +600,7 @@ class CodeCache:
             self._memo_put(signature.key,
                            CacheEntry(entry, end, list(recorder.guards),
                                       cold_cycles))
-            if not (self.templates_enabled
-                    and recorder.instructions is not None):
+            if recorder.instructions is None:
                 return
             persisting = self._disk_tier() is not None
             if not (recorder.patchable_origins()

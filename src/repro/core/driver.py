@@ -21,9 +21,6 @@ the selected dynamic back end.
 
 from __future__ import annotations
 
-import difflib
-import enum
-import os
 import re
 
 from repro import report
@@ -31,6 +28,7 @@ from repro.core.cgf import CGF
 from repro.core.codecache import BYTES_PER_HOLE, CodeCache, PatchRecorder
 from repro.core.interp import Interp, MemCell, PyCell
 from repro.core.lowering import CodeGen, EmitCtx, cls_of
+from repro.core.options import BackendKind, Options, resolve_verify
 from repro.core import static_backend
 from repro.errors import (
     CodegenError,
@@ -39,7 +37,6 @@ from repro.errors import (
     TccError,
     VerifyError,
 )
-from repro.analysis import resolve_analysis
 from repro.frontend import cast, parse, analyze
 from repro.frontend.sema import BUILTINS
 from repro.icode.backend import IcodeBackend
@@ -51,14 +48,7 @@ from repro.target.isa import wrap32
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 from repro.vcode.machine import VcodeBackend
-from repro.verify import codeaudit, factcheck, resolve_mode, ticklint
-
-
-class BackendKind(enum.Enum):
-    """Which dynamic back end serves ``compile()``."""
-
-    VCODE = "vcode"
-    ICODE = "icode"
+from repro.verify import codeaudit, factcheck, ticklint
 
 
 #: Library routines available to every program (tcc links a small run-time
@@ -113,7 +103,7 @@ class TccCompiler:
         tracer = self.tracer
         if tracer is None or not tracer.enabled:
             tu = analyze(parse(source, filename))
-            if resolve_mode(self.verify) != "off":
+            if resolve_verify(self.verify) != "off":
                 ticklint.run(tu)
             self._build_cgfs(tu)
             return CompiledProgram(tu, source, tracer=tracer)
@@ -126,7 +116,7 @@ class TccCompiler:
                 tu = parse(source, filename)
             with tracer.span("sema", cat="static"):
                 tu = analyze(tu)
-            if resolve_mode(self.verify) != "off":
+            if resolve_verify(self.verify) != "off":
                 ticklint.run(tu)
             with tracer.span("cgf", cat="static"):
                 self._build_cgfs(tu)
@@ -156,30 +146,6 @@ def _split_prelude():
             ("memset", "void memset" + PRELUDE_SOURCE.split("void memset")[1])]
 
 
-#: Every option name :meth:`CompiledProgram.start` accepts (and
-#: documents); any other name raises ``TypeError``.
-START_OPTIONS = frozenset({
-    "backend", "regalloc", "static_opt", "allow_spills",
-    "optimize_dynamic_ir", "dynamic_peephole", "strength_reduction",
-    "dynamic_unrolling", "max_unroll", "reorder_cspec_operands",
-    "compile_static", "fallback", "codecache", "code_templates",
-    "codecache_dir", "template_store", "retier", "retier_cost_ratio",
-    "spec_fuel", "verify", "analysis", "telemetry", "tracer",
-    "fuel", "icache", "code_capacity", "engine", "tiering",
-    "tiering_shared",
-})
-
-
-def _check_start_options(options) -> None:
-    unknown = sorted(set(options) - START_OPTIONS)
-    if not unknown:
-        return
-    name = unknown[0]
-    close = difflib.get_close_matches(name, START_OPTIONS, n=1)
-    hint = f"; did you mean {close[0]!r}?" if close else ""
-    raise TypeError(f"start() got an unknown option {name!r}{hint}")
-
-
 class CompiledProgram:
     """The output of static compilation: an analyzed translation unit with
     code-generating functions attached to every tick expression."""
@@ -190,87 +156,21 @@ class CompiledProgram:
         self.tracer = tracer
 
     def start(self, machine: Machine | None = None, **options) -> "Process":
-        """Instantiate the program on a machine.  Options:
+        """Instantiate the program on ``machine`` (default: a fresh one
+        configured by the machine fields of the options).
 
-        ``backend``       BackendKind or "vcode"/"icode" (default ICODE)
-        ``regalloc``      "linear" or "color" (ICODE only; default linear)
-        ``static_opt``    "lcc" or "gcc" (default "lcc")
-        ``allow_spills``  VCODE getreg spilling (default True)
-        ``optimize_dynamic_ir``  run the IR optimizer on dynamic code too
-        ``dynamic_peephole``  peephole-optimize dynamic code (default True)
-        ``strength_reduction``  strength-reduce multiply/divide/modulo
-                          by ``$`` constants (default True)
-        ``dynamic_unrolling``  unroll dynamic-code ``for`` loops whose
-                          trip count is known at specification time
-                          (default True)
-        ``max_unroll``    most iterations one loop may unroll before the
-                          compile fails (default 2**20)
-        ``reorder_cspec_operands``  tcc's 5.1 heuristic (default True)
-        ``compile_static``  compile pure-C functions at start (default True)
-        ``fallback``      retry failed ICODE installs on VCODE (default True)
-        ``codecache``     reuse dynamic code across compile() calls
-                          (default True; see repro.core.codecache)
-        ``code_templates``  the cache's Tier-2 copy-and-patch fast path
-                          (default True; ignored when ``codecache`` is off)
-        ``codecache_dir``  directory for the persistent template cache
-                          (default ``$REPRO_CODECACHE_DIR``, else off):
-                          templates are persisted write-behind and a
-                          fresh process warm-starts from shapes any
-                          earlier process compiled (see repro.persist).
-                          Ignored when ``template_store`` is supplied —
-                          the serving engine owns persistence then.
-        ``template_store``  a shared :class:`repro.serving.store
-                          .TemplateStore` backing the Tier-2 templates
-        ``retier``        adaptive VCODE->ICODE re-instantiation when a
-                          closure's cumulative exec cycles cross the
-                          Fig. 5 recompile crossover (default True; needs
-                          ``codecache`` and exec telemetry — the serving
-                          envelope feeds it via ``note_exec_cycles``)
-        ``retier_cost_ratio``  exec-cycles / compile-cycles multiple that
-                          trips the retier (default 8.0)
-        ``spec_fuel``     spec-time interpreter step budget per ``run()``
-                          (None = unlimited)
-        ``verify``        static-analysis mode: "off", "dev" (allocation
-                          check + install audit), or "paranoid" (adds the
-                          inter-pass IR verifier).  Defaults to
-                          ``$REPRO_VERIFY``, else "dev".
-        ``analysis``      dataflow guard elision, "on" or "off" (default
-                          ``$REPRO_ANALYSIS``, else off)
-        ``telemetry``     lifecycle tracing: "off" (default), "on", or
-                          "sample:N" (see repro.telemetry).  Metrics are
-                          always recorded; the knob only controls spans.
-        ``tracer``        share an existing Tracer instead (wins over
-                          ``telemetry``; defaults to the one the compiler
-                          used for static compilation, if any).
-
-        When no ``machine`` is supplied, these options configure the fresh
-        one:
-
-        ``fuel``          watchdog cycle budget per call (None = unlimited)
-        ``icache``        an :class:`~repro.target.cpu.ICache` model
-        ``code_capacity`` code-segment capacity, in instructions
-        ``engine``        "tiered" (profile-guided trace promotion over
-                          superblock dispatch, the default), "block"
-                          (predecoded superblock dispatch only), or
-                          "reference" (the per-instruction oracle stepper)
-        ``tiering``       a :class:`repro.tiering.TieringPolicy` (or a
-                          dict of its knobs) for the tiered engine
-        ``tiering_shared``  a :class:`repro.tiering.SharedHotness` to
-                          seed/publish the cross-session dispatch profile
-
-        Any other option name raises ``TypeError`` naming the closest
-        documented one.
+        ``options`` are the fields of :class:`repro.core.options.Options`,
+        which documents each one and its default.  An unknown name raises
+        ``TypeError`` naming the closest option; a malformed value raises
+        ``ValueError``.
         """
-        _check_start_options(options)
+        opts = Options.of(options)
         if machine is None:
-            machine_options = {
-                key: options[key]
-                for key in ("fuel", "icache", "code_capacity", "engine",
-                            "tiering", "tiering_shared")
-                if key in options
-            }
-            machine = Machine(**machine_options)
-        return Process(self, machine, options)
+            machine = Machine(fuel=opts.fuel, icache=opts.icache,
+                              code_capacity=opts.code_capacity,
+                              engine=opts.engine, tiering=opts.tiering,
+                              tiering_shared=opts.tiering_shared)
+        return Process(self, machine, opts)
 
     @property
     def functions(self):
@@ -287,29 +187,20 @@ class CompiledProgram:
 class Process:
     """One execution context: machine + interpreter + dynamic compiler."""
 
-    def __init__(self, program: CompiledProgram, machine: Machine, options):
-        backend = options.get("backend", BackendKind.ICODE)
-        if isinstance(backend, str):
-            backend = BackendKind(backend)
+    def __init__(self, program: CompiledProgram, machine: Machine,
+                 options: Options):
         self.program = program
         self.machine = machine
         self.options = options
-        self.backend_kind = backend
-        self.regalloc = options.get("regalloc", "linear")
-        self.static_opt = options.get("static_opt", "lcc")
-        self.verify = resolve_mode(options.get("verify"))
-        self.analysis = resolve_analysis(options.get("analysis"))
         # Tracer resolution: explicit option > the static compiler's >
         # the machine's > a fresh one when the telemetry knob asks for it.
-        tracer = options.get("tracer")
+        tracer = options.tracer
         if tracer is None:
             tracer = program.tracer
         if tracer is None:
             tracer = machine.tracer
-        if tracer is None:
-            mode = _trace.resolve_mode(options.get("telemetry"))
-            if mode != "off":
-                tracer = _trace.Tracer(mode)
+        if tracer is None and options.telemetry != "off":
+            tracer = _trace.Tracer(options.telemetry)
         self.tracer = tracer if tracer is not None and tracer.enabled else None
         if self.tracer is not None:
             machine.tracer = self.tracer
@@ -328,40 +219,23 @@ class Process:
         # (deadline + retries + circuit breakers) instead of the plain
         # single-attempt path below.
         self.envelope = None
-        # Adaptive retier (the paper's Fig. 5 crossover made dynamic):
-        # per-entry cumulative exec cycles, fed by the serving envelope
-        # via note_exec_cycles(); when a VCODE-compiled closure's
-        # execution time crosses retier_cost_ratio x its compile cost,
-        # its signature is re-instantiated as ICODE on the next request.
-        self._exec_cycles: dict = {}       # entry -> cumulative exec cycles
-        self._entry_code_info: dict = {}   # entry -> (sig key, cold, backend)
-        self._retier_to_icode: set = set()  # signature keys due for ICODE
-        self._last_cold_cycles = None      # stashed by the cache paths
-        codecache_dir = options.get("codecache_dir")
-        if codecache_dir is None:
-            codecache_dir = os.environ.get("REPRO_CODECACHE_DIR") or None
         disk = None
-        if (codecache_dir
-                and options.get("codecache", True)
-                and options.get("code_templates", True)
-                and options.get("template_store") is None):
+        if (options.codecache_dir and options.codecache
+                and options.template_store is None):
             from repro.persist import DiskCodeCache, program_namespace
 
-            disk = DiskCodeCache(codecache_dir,
+            disk = DiskCodeCache(options.codecache_dir,
                                  program_key=program_namespace(program.source))
-        self.codecache = CodeCache(
-            enabled=options.get("codecache", True),
-            templates_enabled=options.get("code_templates", True),
-            template_store=options.get("template_store"),
-            disk=disk,
-        )
+        self.codecache = CodeCache(enabled=options.codecache,
+                                   template_store=options.template_store,
+                                   disk=disk)
         machine.code.add_invalidation_listener(self.codecache.on_segment_event)
         self._strings: dict = {}
         self._static_entries: dict = {}
         self._register_malloc()
         self._place_globals()
         self.interp = Interp(self)
-        if options.get("compile_static", True):
+        if options.compile_static:
             if self.tracer is not None:
                 with _trace.activate(self.tracer):
                     self._compile_static_functions()
@@ -438,10 +312,7 @@ class Process:
             before = self.static_cost.current.total_cycles()
             entry = static_backend.compile_static_function(
                 self.machine, self.static_cost, fn, global_env,
-                self.intern_string, opt=self.static_opt, do_link=False,
-                options=self.options, verify=self.verify,
-                analysis=self.analysis,
-            )
+                self.intern_string, self.options, do_link=False)
             self._static_entries[name] = entry
             if tracer is not None:
                 spent = self.static_cost.current.total_cycles() - before
@@ -450,7 +321,7 @@ class Process:
                                     ts=tracer.cursor - spent,
                                     end=tracer.cursor, entry=entry)
         self.machine.code.link()
-        if self.verify != "off":
+        if self.options.verify != "off":
             # The per-function installs deferred linking, so audit the
             # whole statically compiled region after the batched link.
             codeaudit.run_range(self.machine, static_start,
@@ -525,18 +396,14 @@ class Process:
         self.current_params.append(vspec)
 
     def make_backend(self, kind: BackendKind | None = None):
-        if (kind or self.backend_kind) is BackendKind.VCODE:
-            return VcodeBackend(
-                self.machine, self.cost,
-                allow_spills=self.options.get("allow_spills", True),
-                verify=self.verify,
-            )
-        return IcodeBackend(
-            self.machine, self.cost, regalloc=self.regalloc,
-            optimize_ir=self.options.get("optimize_dynamic_ir", True),
-            use_peephole=self.options.get("dynamic_peephole", True),
-            verify=self.verify, analysis=self.analysis,
-        )
+        opts = self.options
+        if (kind or opts.backend) is BackendKind.VCODE:
+            return VcodeBackend(self.machine, self.cost,
+                                allow_spills=opts.allow_spills,
+                                verify=opts.verify)
+        return IcodeBackend(self.machine, self.cost, regalloc=opts.regalloc,
+                            optimize_ir=True, verify=opts.verify,
+                            analysis=opts.analysis)
 
     def compile_closure(self, closure, ret_type) -> int:
         """The ``compile`` special form (tcc 4.4): run the CGF against a
@@ -598,8 +465,7 @@ class Process:
         bypassed, and the implicit ICODE->VCODE fallback disabled (the
         ladder owns backend demotion there).  Defaults reproduce the
         classic single-attempt behavior exactly."""
-        effective = backend_kind or self.backend_kind
-        retiered = False
+        effective = backend_kind or self.options.backend
         try:
             # Bind dynamic parameters created via param().
             params = sorted(self.current_params, key=lambda v: v.index)
@@ -610,28 +476,14 @@ class Process:
                     f"{indices}"
                 )
             signature = None
-            self._last_cold_cycles = None
             if self.codecache.enabled:
                 signature = signature_of(
                     closure, params,
                     self._cache_config_key(ret_type, effective))
-                if (backend_kind is None
-                        and effective is BackendKind.VCODE
-                        and signature.key in self._retier_to_icode):
-                    # The Fig. 5 crossover fired for this closure: its
-                    # cumulative exec time has outgrown the cheap VCODE
-                    # build, so re-instantiate with the optimizing back
-                    # end (and the matching cache signature) instead.
-                    effective = BackendKind.ICODE
-                    retiered = True
-                    signature = signature_of(
-                        closure, params,
-                        self._cache_config_key(ret_type, effective))
                 self._compile_signature = signature
                 entry = self._try_cached(signature,
                                          use_templates=use_templates)
                 if entry is not None:
-                    self._note_code_info(entry, signature, effective)
                     return self._note_compiled(entry, closure)
                 report.record_cache_miss()
             recorder = (PatchRecorder(signature)
@@ -642,16 +494,12 @@ class Process:
             except (CodegenError, CodeSegmentExhausted) as primary:
                 if (effective is not BackendKind.ICODE
                         or not allow_fallback
-                        or not self.options.get("fallback", True)):
+                        or not self.options.fallback):
                     raise
                 recorder = None
-                fallback = VcodeBackend(
-                    self.machine, self.cost,
-                    allow_spills=self.options.get("allow_spills", True),
-                    verify=self.verify,
-                )
-                entry = self._instantiate(fallback, closure, ret_type,
-                                          params, None)
+                entry = self._instantiate(
+                    self.make_backend(BackendKind.VCODE), closure, ret_type,
+                    params, None)
                 report.record_fallback("icode", "vcode", str(primary))
                 self._compile_path = "fallback"
                 amb = _trace.active()
@@ -665,11 +513,6 @@ class Process:
                     signature, recorder, entry, self.machine.code.here,
                     self.last_codegen_stats.total_cycles(),
                 )
-            self._last_cold_cycles = self.last_codegen_stats.total_cycles()
-            self._note_code_info(entry, signature, effective)
-            if retiered and self._compile_path is None:
-                self._compile_path = "retier"
-                report.record_retier()
             return self._note_compiled(entry, closure)
         finally:
             # Always reset param() state, even when instantiation raised:
@@ -677,21 +520,9 @@ class Process:
             self.current_params = []
 
     def _cache_config_key(self, ret_type, backend_kind=None):
-        """Every knob that changes what code an instantiation produces."""
-        opts = self.options
-        return (
-            (backend_kind or self.backend_kind).value,
-            self.regalloc,
-            bool(opts.get("allow_spills", True)),
-            bool(opts.get("optimize_dynamic_ir", True)),
-            bool(opts.get("dynamic_peephole", True)),
-            bool(opts.get("strength_reduction", True)),
-            bool(opts.get("dynamic_unrolling", True)),
-            opts.get("max_unroll"),
-            bool(opts.get("reorder_cspec_operands", True)),
-            bool(self.analysis),
-            str(ret_type),
-        )
+        """Every knob that changes what code an instantiation produces:
+        the code-shaping :class:`Options` fields, plus the return type."""
+        return (*self.options.code_key(backend_kind), str(ret_type))
 
     def _trace_compile(self, tracer, closure, entry, stats, path) -> None:
         """Lay a finished instantiation onto the cycle timeline.
@@ -709,7 +540,7 @@ class Process:
         end = tracer.cursor
         args = {
             "closure": closure.cgf.label,
-            "backend": self.backend_kind.value,
+            "backend": self.options.backend.value,
             "path": path,
             "entry": entry,
             "code_range": [entry, self.machine.code.here],
@@ -735,45 +566,6 @@ class Process:
         )
         return entry
 
-    def _note_code_info(self, entry, signature, effective) -> None:
-        """Remember which signature/back end/compile cost produced the
-        code at ``entry``, so exec-cycle telemetry can be attributed for
-        the adaptive retier decision."""
-        if signature is None:
-            return
-        cold = self._last_cold_cycles
-        if cold is None:
-            return
-        self._entry_code_info[entry] = (
-            signature.key, max(int(cold), 1), effective.value)
-
-    def note_exec_cycles(self, entry, cycles) -> None:
-        """Feed one execution's modeled cycles into the adaptive-retier
-        accounting (the serving envelope calls this after every
-        successful request).
-
-        The paper's Fig. 5 frames VCODE-vs-ICODE as a crossover: the
-        optimizing back end costs more to compile but its output runs
-        faster, so it pays off only past enough executions.  Here the
-        decision is made adaptively at run time: once a VCODE-compiled
-        entry's *cumulative* exec cycles exceed ``retier_cost_ratio``
-        (default 8.0) times its compile cost, its closure signature is
-        marked and the next ``compile()`` of that closure re-instantiates
-        it with ICODE (recorded as the "retier" compile path).
-        """
-        if not self.options.get("retier", True) or not self.codecache.enabled:
-            return
-        info = self._entry_code_info.get(entry)
-        if info is None or info[2] != BackendKind.VCODE.value:
-            return
-        total = self._exec_cycles.get(entry, 0) + max(int(cycles), 0)
-        self._exec_cycles[entry] = total
-        if info[0] in self._retier_to_icode:
-            return
-        ratio = float(self.options.get("retier_cost_ratio", 8.0))
-        if total >= info[1] * ratio:
-            self._retier_to_icode.add(info[0])
-
     def _try_cached(self, signature, use_templates=True):
         """Probe both cache tiers; return an entry address or None.
 
@@ -796,7 +588,6 @@ class Process:
                 hit.cold_cycles - self.last_codegen_stats.total_cycles()
             )
             self._compile_path = "hit"
-            self._last_cold_cycles = hit.cold_cycles
             return hit.entry
         if not use_templates:
             return None
@@ -815,7 +606,7 @@ class Process:
             # callable, independent of the verify mode.
             codeaudit.run_template(machine, template, signature, entry,
                                    where=f"template@{entry}")
-            if self.verify != "off":
+            if self.options.verify != "off":
                 codeaudit.run_range(machine, entry, machine.code.here,
                                     where=f"template@{entry}")
                 if cache.last_clone_facts:
@@ -846,7 +637,6 @@ class Process:
             template.cold_cycles - self.last_codegen_stats.total_cycles(),
         )
         self._compile_path = "patched"
-        self._last_cold_cycles = template.cold_cycles
         return entry
 
     def _instantiate(self, backend, closure, ret_type, params,

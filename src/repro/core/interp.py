@@ -155,13 +155,6 @@ class CellRef:
         self.cell.store(interp, value)
 
 
-#: Default spec-time step budget: statements executed per top-level
-#: :meth:`repro.core.driver.Process.run`.  Far above any benchmark's
-#: specification work, but finite, so a runaway loop in spec-time code
-#: traps instead of hanging the host.
-DEFAULT_SPEC_FUEL = 20_000_000
-
-
 class Interp:
     """Interprets type-checked `C functions at specification time.
 
@@ -179,7 +172,7 @@ class Interp:
 
     def reset_budget(self) -> None:
         """Refill the spec-time step budget (``spec_fuel`` start option)."""
-        fuel = self.process.options.get("spec_fuel", DEFAULT_SPEC_FUEL)
+        fuel = self.process.options.spec_fuel
         self.steps_left = math.inf if fuel is None else fuel
 
     # -- typed memory access -------------------------------------------------

@@ -33,6 +33,8 @@ from repro.runtime.closures import Vspec
 from repro.runtime.costmodel import Phase
 from repro.target.isa import wrap32
 
+#: Most iterations one dynamic ``for`` loop may unroll before the
+#: compile fails.
 _MAX_UNROLL = 1 << 20
 
 _CMP_OPS = {"==": "seq", "!=": "sne", "<": "slt", "<=": "sle",
@@ -133,19 +135,18 @@ class EmitCtx:
     """Everything one code-generation walk needs."""
 
     def __init__(self, machine, cost, backend, ret_type: T.CType,
-                 intern_string, options=None):
+                 intern_string, options):
         self.machine = machine
         self.cost = cost
         self.backend = backend
         self.ret_type = ret_type
         self.intern_string = intern_string
-        self.options = options or {}
+        self.options = options         # repro.core.options.Options
         self.env: dict = {}            # id(decl) -> LVal / VspecBinding / ...
         self.in_tick = False
         self.emit_env: dict = {}       # id(decl) -> int (derived RTC values)
         self.rtconst_values: dict = {} # id(decl) -> captured $ value
         self.dollar_values: dict = {}  # slot -> spec-time $ value
-        self.max_unroll = self.options.get("max_unroll", _MAX_UNROLL)
         self.recorder = None           # codecache PatchRecorder, when caching
 
     def child(self) -> "EmitCtx":
@@ -165,7 +166,7 @@ class CodeGen:
         self.ctx = ctx
         self.backend = ctx.backend
         self.loops: list = []  # (break_label, continue_label)
-        self.reorder = ctx.options.get("reorder_cspec_operands", True)
+        self.reorder = ctx.options.reorder_cspec_operands
 
     # ------------------------------------------------------------------
     # patch-hole provenance (codecache Tier 2)
@@ -689,7 +690,7 @@ class CodeGen:
             imm = int(imm)
         lhs = self.materialize(lhs)
         dst = self._result_reg("i", lhs)
-        if not self.ctx.options.get("strength_reduction", True) and \
+        if not self.ctx.options.strength_reduction and \
                 opname in ("mul", "div", "divu", "mod", "modu"):
             self.backend.binop_imm(opname, dst.handle, lhs.handle, imm)
             return dst
@@ -1252,7 +1253,7 @@ class CodeGen:
 
     def _s_For(self, node) -> None:
         if self.ctx.in_tick and node.unroll and \
-                self.ctx.options.get("dynamic_unrolling", True):
+                self.ctx.options.dynamic_unrolling:
             self._gen_unrolled_for(node)
             return
         if node.init is not None:
@@ -1298,9 +1299,9 @@ class CodeGen:
             if not _compare(relop, value, bound):
                 break
             iterations += 1
-            if iterations > ctx.max_unroll:
+            if iterations > _MAX_UNROLL:
                 raise CodegenError(
-                    f"dynamic unrolling exceeded {ctx.max_unroll} iterations"
+                    f"dynamic unrolling exceeded {_MAX_UNROLL} iterations"
                 )
             ctx.emit_env[id(decl)] = value
             self.gen_stmt(node.body)

@@ -28,24 +28,22 @@ OPT_LEVELS = {
 
 
 def compile_static_function(machine, cost, fn: cast.FuncDef, global_env,
-                            intern_string, opt: str = "lcc",
-                            do_link: bool = True,
-                            options=None, verify: str = "off",
-                            analysis: bool = False) -> int:
-    """Compile one C function; return its entry address.
+                            intern_string, options,
+                            do_link: bool = True) -> int:
+    """Compile one C function at ``options.static_opt``; return its entry
+    address.
 
     ``global_env`` maps ``id(decl)`` of globals to their ``MemLV``.
     The function is registered in the code segment's symbol table under its
     own name.
     """
-    if opt not in OPT_LEVELS:
-        raise ValueError(f"unknown optimization level {opt!r}")
     if fn.body is None:
         raise CodegenError(f"cannot compile extern function {fn.name!r}")
-    regalloc, optimize_ir, use_peephole = OPT_LEVELS[opt]
+    regalloc, optimize_ir, use_peephole = OPT_LEVELS[options.static_opt]
     backend = IcodeBackend(
         machine, cost, regalloc=regalloc, optimize_ir=optimize_ir,
-        use_peephole=use_peephole, verify=verify, analysis=analysis,
+        use_peephole=use_peephole, verify=options.verify,
+        analysis=options.analysis,
     )
     ctx = EmitCtx(machine, cost, backend, fn.ty.ret, intern_string, options)
     ctx.env.update(global_env)

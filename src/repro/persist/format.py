@@ -62,7 +62,7 @@ def isa_fingerprint() -> str:
     """sha256 over everything a serialized template implicitly bakes in:
     the opcode set (templates store resolved ``Op`` names), the register
     file sizes (operands are resolved register numbers), and the cost
-    model (``cold_cycles`` drives retier/eviction decisions)."""
+    model (``cold_cycles`` is the cost a clone reports as saved)."""
     global _FINGERPRINT
     if _FINGERPRINT is None:
         from repro.runtime.costmodel import DEFAULT_WEIGHTS

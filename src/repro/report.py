@@ -18,19 +18,15 @@ Usage::
 
 Numbers are deterministic (simulated machine + modeled codegen cycles).
 
-Statistics plumbing: every counter this module historically kept in
-module-level dicts (fallbacks, specialization cache, block dispatch,
-verifier suite) now lives in the unified metrics registry
-(:data:`repro.telemetry.metrics.REGISTRY`).  The ``record_*`` helpers,
-the ``*_stats()`` accessors, ``reset()``, and the ``FALLBACK_STATS``/
-``CACHE_STATS``/``DISPATCH_STATS``/``VERIFY_STATS`` names keep their
-signatures and read-side semantics as thin views over the registry.
+Statistics plumbing: every counter lives in the unified metrics registry
+(:data:`repro.telemetry.metrics.REGISTRY`).  The ``record_*`` helpers
+write it, the ``*_stats()`` readers return plain-dict snapshots of one
+subsystem's counters, and ``reset()`` zeroes them all.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Mapping
 
 from repro.telemetry import metrics as _metrics
 
@@ -48,30 +44,6 @@ SERIES = [
 _REGISTRY = _metrics.REGISTRY
 
 
-class _StatsView(Mapping):
-    """A read-only dict-shaped live view over registry metrics.
-
-    Keeps the historical module-level names (``report.CACHE_STATS`` and
-    friends) working for read access while the registry is the single
-    source of truth.
-    """
-
-    def __init__(self, getters: dict):
-        self._getters = getters
-
-    def __getitem__(self, key):
-        return self._getters[key]()
-
-    def __iter__(self):
-        return iter(self._getters)
-
-    def __len__(self):
-        return len(self._getters)
-
-    def __repr__(self):
-        return repr({key: get() for key, get in self._getters.items()})
-
-
 # -- backend fallbacks --------------------------------------------------------
 
 _FALLBACK_COUNT = _REGISTRY.counter("fallback.count")
@@ -80,16 +52,6 @@ _FALLBACK_COUNT = _REGISTRY.counter("fallback.count")
 _FALLBACK_EVENTS = _REGISTRY.events(
     "fallback.events", capacity=_metrics.DEFAULT_EVENT_CAPACITY)
 
-#: Graceful-degradation counters, fed by
-#: :meth:`repro.core.driver.Process.compile_closure` whenever a failed
-#: ICODE instantiation is successfully retried on VCODE.  ``events`` holds
-#: the most recent ``(from_backend, to_backend, reason)`` tuples in
-#: occurrence order (bounded; ``count`` is always exact).
-FALLBACK_STATS = _StatsView({
-    "count": lambda: _FALLBACK_COUNT.value,
-    "events": lambda: list(_FALLBACK_EVENTS),
-})
-
 
 def record_fallback(from_backend: str, to_backend: str, reason: str) -> None:
     """Record one successful backend fallback."""
@@ -97,28 +59,19 @@ def record_fallback(from_backend: str, to_backend: str, reason: str) -> None:
     _FALLBACK_EVENTS.append((from_backend, to_backend, reason))
 
 
-def fallback_count() -> int:
-    return _FALLBACK_COUNT.value
-
-
-def reset_fallbacks() -> None:
-    _FALLBACK_COUNT.reset()
-    _FALLBACK_EVENTS.reset()
+def fallback_stats() -> dict:
+    """Graceful-degradation counters, fed by
+    :meth:`repro.core.driver.Process.compile_closure` whenever a failed
+    ICODE instantiation is successfully retried on VCODE.  ``events``
+    holds the most recent ``(from_backend, to_backend, reason)`` tuples
+    in occurrence order (bounded; ``count`` is always exact)."""
+    return {"count": _FALLBACK_COUNT.value, "events": list(_FALLBACK_EVENTS)}
 
 
 # -- specialization cache -----------------------------------------------------
 
 _CACHE_KEYS = ("hits", "misses", "patched", "patched_bytes", "cycles_saved")
 _CACHE = {key: _REGISTRY.counter(f"cache.{key}") for key in _CACHE_KEYS}
-
-#: Specialization-cache counters, fed by
-#: :meth:`repro.core.driver.Process.compile_closure`:
-#: Tier-1 memo hits, Tier-2 template patches, and cold misses, plus the
-#: modeled bytes patched and codegen cycles the cache avoided.
-CACHE_STATS = _StatsView({
-    key: (lambda c=_CACHE[key]: c.value) for key in _CACHE_KEYS
-})
-
 
 def record_cache_hit(cycles_saved: int = 0) -> None:
     """Record one Tier-1 memo hit."""
@@ -139,12 +92,11 @@ def record_cache_miss() -> None:
 
 
 def cache_stats() -> dict:
+    """Specialization-cache counters, fed by
+    :meth:`repro.core.driver.Process.compile_closure`: Tier-1 memo hits,
+    Tier-2 template patches, and cold misses, plus the modeled bytes
+    patched and codegen cycles the cache avoided."""
     return {key: _CACHE[key].value for key in _CACHE_KEYS}
-
-
-def reset_cache_stats() -> None:
-    for counter in _CACHE.values():
-        counter.reset()
 
 
 # -- block-dispatch engine ----------------------------------------------------
@@ -156,18 +108,6 @@ _DISPATCH_KEYS = ("blocks_compiled", "instructions_predecoded",
 _DISPATCH = {key: _REGISTRY.counter(f"dispatch.{key}")
              for key in _DISPATCH_KEYS}
 _FUSED_BY_KIND = _REGISTRY.labeled("dispatch.fused_by_kind")
-
-#: Block-dispatch engine counters, fed by
-#: :class:`repro.target.dispatch.BlockEngine`: superblocks compiled,
-#: instructions predecoded into them, superinstruction pairs fused (by
-#: kind), block-granular dispatches, block-cache hits, blocks evicted
-#: by code-segment invalidation events, and the process-wide host-code
-#: cache's hits, misses and evictions (:mod:`repro.target.hostcode`).
-DISPATCH_STATS = _StatsView({
-    **{key: (lambda c=_DISPATCH[key]: c.value) for key in _DISPATCH_KEYS},
-    "fused_by_kind": _FUSED_BY_KIND.snapshot,
-})
-
 
 def record_block_compiled(n_instructions: int, fused: dict) -> None:
     """Record one superblock compilation."""
@@ -195,41 +135,26 @@ def record_hostcode(kind: str, n: int = 1) -> None:
 
 
 def dispatch_stats() -> dict:
+    """Block-dispatch engine counters, fed by
+    :class:`repro.target.dispatch.BlockEngine`: superblocks compiled,
+    instructions predecoded into them, superinstruction pairs fused (by
+    kind), block-granular dispatches, block-cache hits, blocks evicted by
+    code-segment invalidation events, and the process-wide host-code
+    cache's hits, misses and evictions (:mod:`repro.target.hostcode`)."""
     out = {key: _DISPATCH[key].value for key in _DISPATCH_KEYS}
     out["fused_by_kind"] = _FUSED_BY_KIND.snapshot()
     return out
 
 
-def reset_dispatch_stats() -> None:
-    for counter in _DISPATCH.values():
-        counter.reset()
-    _FUSED_BY_KIND.reset()
-
-
 # -- tiered engine ------------------------------------------------------------
 
 _TIERING_KEYS = ("promotions", "trace_blocks", "trace_instructions",
-                 "trace_dispatches", "deopts", "traces_invalidated",
-                 "retier_promotions")
+                 "trace_dispatches", "deopts", "traces_invalidated")
 _TIERING = {key: _REGISTRY.counter(f"tiering.{key}")
             for key in _TIERING_KEYS}
 _TIERING_FUSED = _REGISTRY.labeled("tiering.fused_by_kind")
 _TRACE_LENGTH = _REGISTRY.histogram("tiering.trace_length",
                                     _metrics.INSTRUCTION_BOUNDS)
-
-#: Tiered-engine counters, fed by :class:`repro.tiering.TieredEngine`
-#: and the driver's adaptive-retier pass: traces promoted (with the
-#: superblocks and instructions they cover, plus a trace-length
-#: histogram and cross-seam fusion counts), trace-granular dispatches,
-#: deopts (poisoned traces evicted back to the block tier), traces
-#: dropped by invalidation/demotion, and VCODE->ICODE re-instantiations
-#: triggered by the Fig. 5 crossover.
-TIERING_STATS = _StatsView({
-    **{key: (lambda c=_TIERING[key]: c.value) for key in _TIERING_KEYS},
-    "fused_by_kind": _TIERING_FUSED.snapshot,
-    "trace_length": lambda: _TRACE_LENGTH.snapshot(),
-})
-
 
 def record_promotion(n_blocks: int, n_instructions: int, fused: dict) -> None:
     """Record one superblock->trace promotion."""
@@ -256,23 +181,16 @@ def record_trace_invalidation(dropped: int) -> None:
     _TIERING["traces_invalidated"].inc(int(dropped))
 
 
-def record_retier() -> None:
-    """Record one adaptive VCODE->ICODE re-instantiation."""
-    _TIERING["retier_promotions"].inc()
-
-
 def tiering_stats() -> dict:
+    """Tiered-engine counters, fed by :class:`repro.tiering.TieredEngine`:
+    traces promoted (with the superblocks and instructions they cover,
+    plus a trace-length histogram and cross-seam fusion counts),
+    trace-granular dispatches, deopts (poisoned traces evicted back to
+    the block tier), and traces dropped by invalidation/demotion."""
     out = {key: _TIERING[key].value for key in _TIERING_KEYS}
     out["fused_by_kind"] = _TIERING_FUSED.snapshot()
     out["trace_length"] = _TRACE_LENGTH.snapshot()
     return out
-
-
-def reset_tiering_stats() -> None:
-    for counter in _TIERING.values():
-        counter.reset()
-    _TIERING_FUSED.reset()
-    _TRACE_LENGTH.reset()
 
 
 # -- verifier suite -----------------------------------------------------------
@@ -284,15 +202,6 @@ _VERIFY_DIAGNOSTICS = _REGISTRY.labeled("verify.diagnostics",
                                         preset=_VERIFY_LAYERS)
 _VERIFY_SECONDS = _REGISTRY.counter("verify.time_seconds")
 
-#: Verifier-suite counters, fed by :mod:`repro.verify`: total checks run,
-#: diagnostics raised per layer, and wall time spent inside the verifiers.
-VERIFY_STATS = _StatsView({
-    "checks_run": lambda: _VERIFY_CHECKS.value,
-    "diagnostics": _VERIFY_DIAGNOSTICS.snapshot,
-    "time_seconds": lambda: float(_VERIFY_SECONDS.value),
-})
-
-
 def record_verify(layer: str, n_diagnostics: int, seconds: float) -> None:
     """Record one verifier check (one layer invocation)."""
     _VERIFY_CHECKS.inc()
@@ -301,6 +210,9 @@ def record_verify(layer: str, n_diagnostics: int, seconds: float) -> None:
 
 
 def verify_stats() -> dict:
+    """Verifier-suite counters, fed by :mod:`repro.verify`: total checks
+    run, diagnostics raised per layer, and wall time spent inside the
+    verifiers."""
     return {
         "checks_run": _VERIFY_CHECKS.value,
         "diagnostics": _VERIFY_DIAGNOSTICS.snapshot(),
@@ -308,26 +220,9 @@ def verify_stats() -> dict:
     }
 
 
-def reset_verify_stats() -> None:
-    _VERIFY_CHECKS.reset()
-    _VERIFY_DIAGNOSTICS.reset()
-    _VERIFY_SECONDS.reset()
-
-
 # -- static analysis / guard elision ------------------------------------------
 
 _ANALYSIS_EVENTS = _REGISTRY.labeled("analysis.events")
-
-#: Static-analysis counters, fed by the ICODE backend and the install
-#: path: checks elided per fact kind (``elided_frame`` / ``elided_dup``
-#: / ``elided_const``), facts exported to the factcheck layer, branches
-#: folded by dataflow verdicts, template guards discharged by analysis
-#: facts, and facts demoted back to checked form when a template clone's
-#: new hole values break the proof.
-ANALYSIS_STATS = _StatsView({
-    "events": _ANALYSIS_EVENTS.snapshot,
-})
-
 
 def record_analysis(event: str, n: int = 1) -> None:
     """Record ``n`` occurrences of one analysis event."""
@@ -335,11 +230,13 @@ def record_analysis(event: str, n: int = 1) -> None:
 
 
 def analysis_stats() -> dict:
+    """Static-analysis counters, fed by the ICODE backend and the install
+    path: checks elided per fact kind (``elided_frame`` / ``elided_dup``
+    / ``elided_const``), facts exported to the factcheck layer, branches
+    folded by dataflow verdicts, template guards discharged by analysis
+    facts, and facts demoted back to checked form when a template
+    clone's new hole values break the proof."""
     return dict(_ANALYSIS_EVENTS.snapshot())
-
-
-def reset_analysis_stats() -> None:
-    _ANALYSIS_EVENTS.reset()
 
 
 # -- serving engine -----------------------------------------------------------
@@ -349,15 +246,6 @@ _SERVING_KEYS = ("requests", "completed", "failed", "retries",
 _SERVING = {key: _REGISTRY.counter(f"serving.{key}")
             for key in _SERVING_KEYS}
 _DEGRADED_BY_TIER = _REGISTRY.labeled("serving.degraded_by_tier")
-
-#: Serving-engine counters, fed by :mod:`repro.serving`: requests served,
-#: completions/failures, retry attempts, deadline misses, circuit-breaker
-#: opens, and requests served at a degraded rung (per tier name).
-SERVING_STATS = _StatsView({
-    **{key: (lambda c=_SERVING[key]: c.value) for key in _SERVING_KEYS},
-    "degraded_by_tier": _DEGRADED_BY_TIER.snapshot,
-})
-
 
 # The serving record helpers accept the registry to write to: a session
 # passes its per-session registry (rolled up into the global one when the
@@ -391,15 +279,13 @@ def record_degraded(tier: str, registry=None) -> None:
 
 
 def serving_stats() -> dict:
+    """Serving-engine counters, fed by :mod:`repro.serving`: requests
+    served, completions/failures, retry attempts, deadline misses,
+    circuit-breaker opens, and requests served at a degraded rung (per
+    tier name)."""
     out = {key: _SERVING[key].value for key in _SERVING_KEYS}
     out["degraded_by_tier"] = _DEGRADED_BY_TIER.snapshot()
     return out
-
-
-def reset_serving_stats() -> None:
-    for counter in _SERVING.values():
-        counter.reset()
-    _DEGRADED_BY_TIER.reset()
 
 
 #: Extra zero-arg callables run by :func:`reset` after the registry —
@@ -653,7 +539,7 @@ def report_cache() -> str:
     """Code cache stats: the in-memory tiers plus the persistent disk
     tier (entries/bytes/hit ratios/evictions).  Reads live counters
     only — safe to run inside a serving process or after the fact."""
-    import os
+    from repro.core.options import default_codecache_dir
 
     # Importing the disk tier registers its metrics (zeroed when the
     # process never touched disk), so the report shape is stable.
@@ -694,7 +580,7 @@ def report_cache() -> str:
             f"disk load latency: p50 {hist.percentile(0.5):.0f} us, "
             f"p99 {hist.percentile(0.99):.0f} us over {hist.count} loads"
         )
-    root = os.environ.get("REPRO_CODECACHE_DIR")
+    root = default_codecache_dir()
     if root:
         entries, total = persist.scan_dir(root)
         lines.append(f"disk dir {root}: {entries} entries, {total} bytes")

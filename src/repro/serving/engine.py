@@ -34,6 +34,7 @@ import time
 
 from repro import report
 from repro.core.driver import CompiledProgram, TccCompiler
+from repro.core.options import Options, default_codecache_dir
 from repro.errors import DeadlineExceeded, RuntimeTccError, TccError
 from repro.obs import server as _obs_server
 from repro.obs.flightrec import FlightRecorder
@@ -98,8 +99,9 @@ class Engine:
         """``source`` is `C source text or an already-compiled
         :class:`CompiledProgram`.  ``session_defaults`` are
         ``CompiledProgram.start`` options applied to every session
-        (overridable per ``open_session``).  ``chaos`` installs an
-        engine-wide injection schedule (defaults to ``$REPRO_CHAOS``).
+        (overridable per ``open_session``), validated here.  ``chaos``
+        installs an engine-wide injection schedule (defaults to
+        ``$REPRO_CHAOS``).
         ``codecache_dir`` (default ``$REPRO_CODECACHE_DIR``) attaches the
         persistent template cache (:mod:`repro.persist`) to the shared
         store, so a *fresh engine* — e.g. a restarted serving worker, or
@@ -116,14 +118,12 @@ class Engine:
         makes every trigger dump a diagnostic bundle to disk.  The new
         engine self-attaches to the ``python -m repro.obs serve``
         endpoint (latest wins)."""
-        import os
-
         if isinstance(source, CompiledProgram):
             self.program = source
         else:
             self.program = TccCompiler(verify=verify).compile(source)
         if codecache_dir is None:
-            codecache_dir = os.environ.get("REPRO_CODECACHE_DIR") or None
+            codecache_dir = default_codecache_dir()
         self.disk = None
         if codecache_dir:
             from repro.persist import DiskCodeCache, program_namespace
@@ -141,6 +141,7 @@ class Engine:
             self.session_defaults.setdefault("codecache_dir", codecache_dir)
         if verify is not None:
             self.session_defaults.setdefault("verify", verify)
+        Options.of(self.session_defaults)
         self.chaos = from_env() if chaos is _UNSET else chaos
         self.hotness = SharedHotness()
         self._lock = threading.Lock()

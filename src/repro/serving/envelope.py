@@ -253,9 +253,6 @@ class Envelope:
         self.clock.charge(spent)
         if trusted and breaker is not None:
             breaker.record_success()
-        # Exec telemetry feeds the driver's adaptive VCODE->ICODE retier
-        # (the Fig. 5 crossover, decided at run time from real cycles).
-        process.note_exec_cycles(entry, spent)
         return value
 
 

@@ -24,7 +24,7 @@ Metric types
     last bucket is the overflow).
 ``EventLog``
     a bounded ring of recent events with an *exact* total count — the
-    fix for ``FALLBACK_STATS["events"]`` growing without bound in
+    fix for the fallback event list growing without bound in
     long-running processes.
 
 This module is intentionally a leaf: it imports nothing from the rest of
@@ -66,11 +66,9 @@ INSTRUCTION_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
 
 #: The compile() outcome classes whose latency distributions we keep
 #: apart: a Tier-1 memo hit, a Tier-2 template patch, a cold build, the
-#: legacy ICODE->VCODE fallback, a compile served at a degraded rung
-#: of the serving ladder (see :mod:`repro.serving.breaker`), and an
-#: adaptive VCODE->ICODE re-instantiation (see "retier" in
-#: :mod:`repro.core.driver`).
-COMPILE_PATHS = ("hit", "patched", "cold", "fallback", "degrade", "retier")
+#: legacy ICODE->VCODE fallback, and a compile served at a degraded rung
+#: of the serving ladder (see :mod:`repro.serving.breaker`).
+COMPILE_PATHS = ("hit", "patched", "cold", "fallback", "degrade")
 
 #: Thread-local exemplar correlation context.  While a trace id is set
 #: (the serving session sets its request correlation id), histograms

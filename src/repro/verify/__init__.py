@@ -8,7 +8,7 @@ ill-formed IR, a register allocator that aliases two live values, a bad
 branch target installed into the code segment.  This package closes that
 gap with four static-analysis layers, each a pure checker returning
 :class:`Diagnostic` records plus a thin runner that accounts time/counts
-in :data:`repro.report.VERIFY_STATS` and raises
+in :func:`repro.report.verify_stats` and raises
 :class:`~repro.errors.VerifyError` when anything fires:
 
 ``ticklint``
@@ -29,13 +29,13 @@ in :data:`repro.report.VERIFY_STATS` and raises
 The knob: ``verify="off" | "dev" | "paranoid"`` on
 :class:`~repro.core.driver.TccCompiler` and ``CompiledProgram.start``.
 The default comes from ``$REPRO_VERIFY`` and falls back to ``"dev"``
-(ticklint + regcheck + codeaudit); ``"paranoid"`` adds the inter-pass IR
-verifier (CI runs the suite this way).
+(ticklint + regcheck + codeaudit; see
+:func:`repro.core.options.resolve_verify`); ``"paranoid"`` adds the
+inter-pass IR verifier (CI runs the suite this way).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro import report
@@ -43,23 +43,6 @@ from repro.errors import VerifyError
 from repro.telemetry import trace as _trace
 
 MODES = ("off", "dev", "paranoid")
-
-#: Environment variable consulted when no explicit mode is given.
-ENV_VAR = "REPRO_VERIFY"
-
-
-def resolve_mode(value=None) -> str:
-    """Normalize a ``verify=`` option to one of :data:`MODES`.
-
-    ``None`` defers to ``$REPRO_VERIFY``, then to ``"dev"``.
-    """
-    if value is None:
-        value = os.environ.get(ENV_VAR) or "dev"
-    if value not in MODES:
-        raise ValueError(
-            f"unknown verify mode {value!r}; expected one of {MODES}"
-        )
-    return value
 
 
 class Diagnostic:
@@ -91,7 +74,7 @@ def run_checker(layer: str, checker, *args, **kwargs):
     """Run one layer's pure checker, account it, and raise on findings.
 
     Every runner in the layer modules funnels through here so the
-    ``VERIFY_STATS`` counters (checks run, diagnostics by layer, time in
+    ``verify_stats()`` counters (checks run, diagnostics by layer, time in
     verifier) stay consistent.
     """
     started = time.perf_counter()
@@ -111,8 +94,6 @@ def run_checker(layer: str, checker, *args, **kwargs):
 
 __all__ = [
     "MODES",
-    "ENV_VAR",
-    "resolve_mode",
     "Diagnostic",
     "run_checker",
     "VerifyError",

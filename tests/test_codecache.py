@@ -213,16 +213,6 @@ class TestTier2Templates:
         assert proc.function(e1, "i", "i")(3) == 24
         assert proc.function(e2, "i", "i")(3) == 21
 
-    def test_templates_can_be_disabled_separately(self, backend):
-        report.reset()
-        proc = compile_c(ADDER, backend=backend, code_templates=False)
-        e1 = proc.run("build", 10)
-        e2 = proc.run("build", 10)   # Tier 1 still works
-        e3 = proc.run("build", 42)   # but no patching
-        assert e1 == e2 and e1 != e3
-        stats = report.cache_stats()
-        assert stats["hits"] == 1 and stats["patched"] == 0
-
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestInvalidation:

@@ -80,9 +80,60 @@ class TestProcessOptions:
             prog.start(zzz=1)
 
     def test_every_accepted_option_is_documented(self):
-        from repro.core.driver import START_OPTIONS, CompiledProgram
-        doc = CompiledProgram.start.__doc__
-        assert all(f"``{name}``" in doc for name in START_OPTIONS)
+        from dataclasses import fields
+        from repro.core.options import NAMES, Options
+
+        assert NAMES == {f.name for f in fields(Options)}
+        assert all(f.metadata["doc"].strip() for f in fields(Options))
+
+    @pytest.mark.parametrize("options, env, name", [
+        ({"codecache": "false"}, {}, "codecache"),
+        ({"allow_spills": "no"}, {}, "allow_spills"),
+        ({"compile_static": 1}, {}, "compile_static"),
+        ({"regalloc": "graph"}, {}, "regalloc"),
+        ({"static_opt": "O3"}, {}, "static_opt"),
+        ({"fuel": "lots"}, {}, "fuel"),
+        ({"spec_fuel": 1.5}, {}, "spec_fuel"),
+        ({"code_capacity": 0}, {}, "code_capacity"),
+        ({"analysis": "onn"}, {}, "analysis"),
+        ({}, {"REPRO_ANALYSIS": "maybe"}, "analysis"),
+        ({"verify": "strict"}, {}, "verify"),
+        ({}, {"REPRO_VERIFY": "strict"}, "verify"),
+        ({"engine": "turbo"}, {}, "engine"),
+        ({"tiering": 7}, {}, "tiering"),
+        ({"codecache_dir": 5}, {}, "codecache_dir"),
+    ])
+    def test_malformed_values_raise_at_start(self, monkeypatch, options,
+                                             env, name):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        prog = TccCompiler(verify="dev").compile("int f(void) { return 0; }")
+        with pytest.raises(ValueError, match=f"'{name}"):
+            prog.start(**options)
+
+    def test_cache_key_covers_exactly_the_code_shaping_options(
+            self, monkeypatch):
+        from repro.core.options import CODE_SHAPING
+
+        monkeypatch.delenv("REPRO_ANALYSIS", raising=False)
+        prog = TccCompiler().compile("int f(void) { return 0; }")
+
+        def key(**options):
+            proc = prog.start(compile_static=False, **options)
+            return proc._cache_config_key("int")
+
+        shaping = {"backend": "vcode", "regalloc": "color",
+                   "allow_spills": False, "strength_reduction": False,
+                   "dynamic_unrolling": False,
+                   "reorder_cspec_operands": False, "analysis": True}
+        assert set(shaping) == set(CODE_SHAPING)
+        base = key()
+        for name, value in shaping.items():
+            assert key(**{name: value}) != base, name
+        for name, value in {"fuel": 1000, "telemetry": "on",
+                            "verify": "paranoid",
+                            "engine": "reference"}.items():
+            assert key(**{name: value}) == base, name
 
     def test_unknown_function_run(self):
         proc = compile_c("int f(void) { return 0; }")

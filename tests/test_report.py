@@ -56,7 +56,7 @@ def test_reset_clears_dispatch_counters():
 
 
 def test_reset_clears_verify_counters():
-    """report.reset() must zero the VERIFY_STATS counters too, or one
+    """report.reset() must zero the verify_stats() counters too, or one
     benchmark's diagnostic/timing numbers bleed into the next."""
     report.reset()
     report.record_verify("ticklint", 0, 0.25)

@@ -115,6 +115,12 @@ class TestEngineSessions:
             s.request("make_adder", (1,))
         assert eng.stats()["sessions_open"] == 0
 
+    def test_session_defaults_are_validated_at_construction(self):
+        with pytest.raises(TypeError, match="'bakend'.*'backend'"):
+            Engine(ADDER, chaos=None, bakend="vcode")
+        with pytest.raises(ValueError, match="'regalloc'"):
+            Engine(ADDER, chaos=None, regalloc="graph")
+
 
 class TestDeadlines:
     def test_deadline_exceeded_is_captured(self):

@@ -4,14 +4,14 @@ The bit-identity differentials live in tests/test_engines.py (every
 engine comparison there now includes "tiered"); this file covers the
 tiering machinery itself: policy validation, trace formation over a
 profile, promotion/deopt mechanics, the cross-session hotness rollup,
-hot-unit reporting, and the driver's adaptive VCODE->ICODE retier.
+and hot-unit reporting.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Engine, report
+from repro import report
 from repro.target.cpu import Machine
 from repro.target.isa import Instruction, Op, Reg
 from repro.tiering import SharedHotness, TieredEngine, TieringPolicy, \
@@ -235,55 +235,6 @@ class TestHotUnits:
         assert len(machine._engine.hot_units(top=1)) == 1
 
 
-LOOP_SRC = """
-int make_sum(int n) {
-    int vspec x = param(int, 0);
-    void cspec c = `{
-        int i, s;
-        s = 0;
-        for (i = 0; i < $n; i++)
-            s = s + x;
-        return s;
-    };
-    return (int)compile(c, int);
-}
-"""
-
-
-class TestAdaptiveRetier:
-    def test_hot_vcode_closure_retiers_to_icode(self):
-        """Once a VCODE closure's cumulative exec cycles cross the
-        Fig. 5 crossover multiple of its compile cost, the next
-        compile() re-instantiates it with ICODE."""
-        report.reset()
-        eng = Engine(LOOP_SRC, chaos=None)
-        # The closure's spec-time+codegen cost dwarfs one run of the
-        # generated loop, so a small crossover ratio keeps the test
-        # fast: ~2 executions' cumulative cycles trip it.
-        with eng.session(backend="vcode", retier_cost_ratio=0.01) as s:
-            first = s.request("make_sum", (2000,), call_args=(3,))
-            assert first.ok and first.value == 6000
-            assert first.path == "cold"
-            for _ in range(3):
-                assert s.call(first.entry, (3,)) == 6000
-            again = s.request("make_sum", (2000,), call_args=(3,))
-            assert again.ok and again.value == 6000
-            assert again.path == "retier"
-        assert report.tiering_stats()["retier_promotions"] >= 1
-
-    def test_retier_can_be_disabled(self):
-        report.reset()
-        eng = Engine(LOOP_SRC, chaos=None)
-        with eng.session(backend="vcode", retier=False,
-                         retier_cost_ratio=0.01) as s:
-            first = s.request("make_sum", (2000,), call_args=(3,))
-            for _ in range(3):
-                s.call(first.entry, (3,))
-            again = s.request("make_sum", (2000,), call_args=(3,))
-            assert again.ok and again.path == "hit"
-        assert report.tiering_stats()["retier_promotions"] == 0
-
-
 class TestStatsReset:
     def test_report_reset_clears_tiering_stats(self):
         machine, entry = _hot_machine()
@@ -297,8 +248,6 @@ class TestStatsReset:
         assert cleared["deopts"] == 0
         assert cleared["trace_length"]["count"] == 0
         assert cleared["fused_by_kind"] == {}
-        # The mapping-shaped live view agrees.
-        assert report.TIERING_STATS["promotions"] == 0
 
 
 def test_generated_loop_matches_reference_with_tiny_threshold():

@@ -4,10 +4,10 @@ N client threads share one :class:`~repro.serving.Engine` (one immutable
 program, one Tier-2 template store) and replay the same mixed workload —
 cold compiles, Tier-1 hits, Tier-2 patches, a trapping request — through
 their own sessions.  For each thread count we record host-side
-throughput, per-request latency percentiles (p50/p99, host µs), the
-degraded-path fraction, and breaker-open counts; a second pass runs the
-same sweep under a periodic chaos schedule to price the robustness
-envelope's recovery machinery.
+throughput, per-request latency percentiles (p50/p99, host µs, exact
+from the raw samples), the degraded-path fraction, and breaker-open
+counts; a second pass runs the same sweep under a periodic chaos
+schedule to price the robustness envelope's recovery machinery.
 
 Results go to ``BENCH_concurrency.json``.
 """
@@ -19,9 +19,9 @@ import threading
 import time
 from pathlib import Path
 
+from benchmarks.quantiles import percentile
 from repro import Engine
 from repro.serving import ChaosPlan
-from repro.telemetry.metrics import MetricsRegistry
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_concurrency.json"
 
@@ -64,10 +64,6 @@ WORKLOAD = [
     ("make_sum", (40,), (3,)),       # hit
 ]
 
-#: host-µs latency buckets
-LATENCY_BOUNDS = (50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000, 50000)
-
-
 def _client(engine, rounds, latencies, counts, lock, errors):
     try:
         with engine.session() as session:
@@ -82,7 +78,7 @@ def _client(engine, rounds, latencies, counts, lock, errors):
                                                              "reference"):
                         degraded += 1
                     with lock:
-                        latencies.record(micros)
+                        latencies.append(micros)
             breaker_opens = session.breakers.open_count()
         with lock:
             counts["requests"] += requests
@@ -96,8 +92,7 @@ def _sweep(label, chaos):
     per_threads = {}
     for n in THREAD_COUNTS:
         engine = Engine(PROGRAM, chaos=None)
-        latencies = MetricsRegistry().histogram("bench.latency_us",
-                                                LATENCY_BOUNDS)
+        latencies: list = []             # raw host µs per request
         counts = {"requests": 0, "degraded": 0, "breaker_opens": 0}
         lock = threading.Lock()
         errors: list = []
@@ -119,17 +114,16 @@ def _sweep(label, chaos):
         assert not errors, errors
         total = counts["requests"]
         assert total == n * ROUNDS * len(WORKLOAD)
-        snap = latencies.snapshot()
         per_threads[str(n)] = {
             "threads": n,
             "requests": total,
             "elapsed_s": round(elapsed, 4),
             "throughput_rps": round(total / elapsed, 1),
             "latency_us": {
-                "p50": latencies.percentile(0.5),
-                "p99": latencies.percentile(0.99),
-                "mean": round(snap["sum"] / snap["count"], 1),
-                "max": round(snap["max"], 1),
+                "p50": round(percentile(latencies, 0.50), 1),
+                "p99": round(percentile(latencies, 0.99), 1),
+                "mean": round(sum(latencies) / len(latencies), 1),
+                "max": round(max(latencies), 1),
             },
             "degraded_fraction": round(counts["degraded"] / total, 4),
             "breaker_opens": counts["breaker_opens"],

@@ -22,6 +22,7 @@ import json
 import time
 from pathlib import Path
 
+from benchmarks.quantiles import percentile
 from repro import Engine, report
 from repro.obs import workload
 
@@ -35,29 +36,22 @@ OVERHEAD_CEILING = 0.05   # plane must cost <= 5% of bare serving
 _RESULTS: dict = {}
 
 
-def _percentile(sorted_values, q):
-    if not sorted_values:
-        return None
-    index = min(int(q * len(sorted_values)), len(sorted_values) - 1)
-    return sorted_values[index]
-
-
 def _path_stats(samples):
     out = {}
     for path, rows in sorted(samples.items()):
-        us = sorted(r[0] for r in rows)
-        cy = sorted(r[1] for r in rows)
+        us = [r[0] for r in rows]
+        cy = [r[1] for r in rows]
         out[path] = {
             "requests": len(rows),
             "latency_us": {
-                "p50": round(_percentile(us, 0.50), 1),
-                "p95": round(_percentile(us, 0.95), 1),
-                "p99": round(_percentile(us, 0.99), 1),
+                "p50": round(percentile(us, 0.50), 1),
+                "p95": round(percentile(us, 0.95), 1),
+                "p99": round(percentile(us, 0.99), 1),
             },
             "modeled_cycles": {
-                "p50": _percentile(cy, 0.50),
-                "p95": _percentile(cy, 0.95),
-                "p99": _percentile(cy, 0.99),
+                "p50": percentile(cy, 0.50),
+                "p95": percentile(cy, 0.95),
+                "p99": percentile(cy, 0.99),
             },
         }
     return out

@@ -17,6 +17,7 @@ import random
 import tempfile
 from pathlib import Path
 
+from benchmarks.quantiles import percentile
 from repro.core.driver import TccCompiler
 
 BENCH_PATH = Path(__file__).parent.parent / "BENCH_warmstart.json"
@@ -76,11 +77,6 @@ def _replay(proc, requests):
     return rows
 
 
-def _percentile(values, q):
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
 def _phase_summary(rows):
     cycles = [r["cycles"] for r in rows]
     paths: dict = {}
@@ -89,8 +85,8 @@ def _phase_summary(rows):
     return {
         "requests": len(rows),
         "total_cycles": sum(cycles),
-        "p50_cycles": _percentile(cycles, 0.50),
-        "p99_cycles": _percentile(cycles, 0.99),
+        "p50_cycles": percentile(cycles, 0.50),
+        "p99_cycles": percentile(cycles, 0.99),
         "max_cycles": max(cycles),
         "paths": paths,
     }

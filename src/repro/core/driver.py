@@ -214,6 +214,7 @@ class Process:
         self.compile_count = 0
         self._compile_path = None        # a COMPILE_PATHS value, see metrics
         self._compile_signature = None
+        self._config_keys: dict = {}     # see _cache_config_key
         # The serving layer (repro.serving) sets ``envelope`` per request:
         # when present it drives compile() through the degradation ladder
         # (deadline + retries + circuit breakers) instead of the plain
@@ -458,13 +459,16 @@ class Process:
         return self.envelope.compile_closure(self, closure, ret_type)
 
     def _compile_closure(self, closure, ret_type, backend_kind=None,
-                         use_templates=True, allow_fallback=True) -> int:
+                         use_templates=True, allow_fallback=True,
+                         signature=None) -> int:
         """One instantiation attempt.  ``backend_kind``/``use_templates``/
         ``allow_fallback`` are the degradation-ladder knobs: the serving
         envelope retries this method with a forced back end, templates
         bypassed, and the implicit ICODE->VCODE fallback disabled (the
-        ladder owns backend demotion there).  Defaults reproduce the
-        classic single-attempt behavior exactly."""
+        ladder owns backend demotion there).  ``signature`` is the
+        closure's cache key when the caller already computed it under the
+        same configuration.  Defaults reproduce the classic
+        single-attempt behavior exactly."""
         effective = backend_kind or self.options.backend
         try:
             # Bind dynamic parameters created via param().
@@ -475,11 +479,13 @@ class Process:
                     "dynamic parameters must use dense indices 0..n-1, got "
                     f"{indices}"
                 )
-            signature = None
-            if self.codecache.enabled:
+            if not self.codecache.enabled:
+                signature = None
+            elif signature is None:
                 signature = signature_of(
                     closure, params,
                     self._cache_config_key(ret_type, effective))
+            if signature is not None:
                 self._compile_signature = signature
                 entry = self._try_cached(signature,
                                          use_templates=use_templates)
@@ -521,8 +527,14 @@ class Process:
 
     def _cache_config_key(self, ret_type, backend_kind=None):
         """Every knob that changes what code an instantiation produces:
-        the code-shaping :class:`Options` fields, plus the return type."""
-        return (*self.options.code_key(backend_kind), str(ret_type))
+        the code-shaping :class:`Options` fields, plus the return type.
+        Memoized per (back end, return type): ``Options`` is frozen."""
+        memo = (backend_kind, ret_type)
+        key = self._config_keys.get(memo)
+        if key is None:
+            key = self._config_keys[memo] = (
+                *self.options.code_key(backend_kind), str(ret_type))
+        return key
 
     def _trace_compile(self, tracer, closure, entry, stats, path) -> None:
         """Lay a finished instantiation onto the cycle timeline.

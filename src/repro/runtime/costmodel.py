@@ -37,6 +37,11 @@ class Phase(enum.Enum):
     LINK = "link"              # resolving labels, installing code
     PATCH = "patch"            # code cache: template copy + hole patching
 
+    # Members are singletons compared by identity, so identity hashing is
+    # exact; it keeps every ``weights[(phase, event)]`` / ``cycles[phase]``
+    # probe in C instead of calling ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 #: Cycle weights per counted event.  Keys are (phase, event) pairs.
 #: Calibrated (see EXPERIMENTS.md) so aggregate magnitudes land in the

@@ -240,6 +240,11 @@ class Session:
         self.breakers = breakers
         self.chaos = chaos
         self.metrics = MetricsRegistry()   # per-session view
+        # Metrics every request touches, bound once (stable across reset).
+        self._requests = self.metrics.counter("serving.requests")
+        self._completed = self.metrics.counter("serving.completed")
+        self._failed = self.metrics.counter("serving.failed")
+        self._breaker_opens = self.metrics.counter("serving.breaker_opens")
         self.requests_served = 0
         self.closed = False
         self._entry_keys: dict = {}        # entry -> breaker routing key
@@ -273,7 +278,7 @@ class Session:
             self.breakers, DeadlineClock(budget), self.retry,
             registry=self.metrics,
             min_rung=slo.protective_rung() if slo is not None else 0)
-        opens_before = self.metrics.counter("serving.breaker_opens").value
+        opens_before = self._breaker_opens.value
         wall0 = time.perf_counter_ns()
         process = self.process
         process.envelope = envelope
@@ -294,7 +299,7 @@ class Session:
         except TccError as exc:
             outcome.error = exc
             if isinstance(exc, DeadlineExceeded):
-                report.record_deadline_miss(self.metrics)
+                self.metrics.counter("serving.deadline_misses").inc()
         finally:
             process.envelope = None
             for undo in undos:
@@ -305,8 +310,8 @@ class Session:
         outcome.path = process._compile_path
         outcome.exec_engine = envelope.exec_engine
         outcome.tier = self._tier_of(envelope)
-        report.record_request("completed" if outcome.ok else "failed",
-                              self.metrics)
+        self._requests.inc()
+        (self._completed if outcome.ok else self._failed).inc()
         self._observe(outcome, correlation_id, builder, budget, envelope,
                       opens_before, wall_us)
         return outcome
@@ -323,8 +328,7 @@ class Session:
         if recorder is None:
             return
         triggers = []
-        opens = (self.metrics.counter("serving.breaker_opens").value
-                 - opens_before)
+        opens = self._breaker_opens.value - opens_before
         if opens:
             triggers.append("breaker_open")
         if outcome.exec_engine == "reference":
@@ -386,7 +390,7 @@ class Session:
                                     returns, name=name,
                                     key=self._entry_keys.get(entry))
         except DeadlineExceeded:
-            report.record_deadline_miss(self.metrics)
+            self.metrics.counter("serving.deadline_misses").inc()
             raise
 
     @staticmethod

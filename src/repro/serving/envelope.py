@@ -31,7 +31,6 @@ The degradation ladder
 
 from __future__ import annotations
 
-from repro import report
 from repro.errors import (
     CodegenError,
     CodeSegmentExhausted,
@@ -108,11 +107,11 @@ class Envelope:
     """One request's robustness state; attach via ``process.envelope``."""
 
     def __init__(self, breakers, clock: DeadlineClock,
-                 policy: RetryPolicy, registry=None, min_rung: int = 0):
+                 policy: RetryPolicy, registry, min_rung: int = 0):
         self.breakers = breakers
         self.clock = clock
         self.policy = policy
-        self.registry = registry
+        self.registry = registry        # the session's MetricsRegistry
         #: Ladder floor asked for by a protective SLO policy (see
         #: :meth:`repro.obs.slo.SloEngine.protective_rung`): degrade
         #: *before* the error budget is gone, not after traps storm.
@@ -130,12 +129,23 @@ class Envelope:
         """Serve one ``compile()`` down the ladder, under the deadline."""
         self.clock.check()
         params = sorted(process.current_params, key=lambda v: v.index)
-        key = self._routing_key(process, closure, params, ret_type)
+        # The closure signature under the session's *base* configuration
+        # is both the breaker routing key (every rung of one closure
+        # shares fate; distinct specializations never do) and the cache
+        # key of rungs 0-1, so it is computed once per compile().
+        try:
+            signature = signature_of(closure, params,
+                                     process._cache_config_key(ret_type))
+            key = signature.key
+        except Exception:
+            # The driver recomputes it and raises; route by the CGF.
+            signature = None
+            key = id(closure.cgf)
         rung = max(self.breakers.start_rung(key), self.min_rung)
         last_error = None
         while rung < len(LADDER):
             entry = self._attempt_rung(process, closure, ret_type,
-                                       params, key, rung)
+                                       params, key, rung, signature)
             if entry is not None:
                 return entry
             last_error = self._last_error
@@ -146,18 +156,19 @@ class Envelope:
             tier=LADDER[-1], last_error=last_error,
         )
 
-    def _attempt_rung(self, process, closure, ret_type, params, key, rung):
+    def _attempt_rung(self, process, closure, ret_type, params, key, rung,
+                      signature):
         """Try one rung, with transient retries.  Returns the entry on
         success (breaker credited, degrade recorded); None on a
         persistent failure / exhausted retries (breaker debited, the
         error kept in ``self._last_error``)."""
         breaker = self.breakers.breaker(key, rung)
-        knobs = _rung_knobs(rung)
+        knobs = _rung_knobs(rung, signature)
         error = None
         for attempt in range(1, self.policy.max_attempts + 1):
             if attempt > 1:
                 self.retries += 1
-                report.record_retry(self.registry)
+                self.registry.counter("serving.retries").inc()
                 self.clock.charge(self.policy.backoff(attempt - 1))
             # _compile_closure consumes param() state in its finally
             # clause, so every attempt re-seeds it.
@@ -178,11 +189,11 @@ class Envelope:
             self.clock.charge(process.last_codegen_stats.total_cycles())
             if rung > 0:
                 process._compile_path = "degrade"
-                report.record_degraded(LADDER[rung], self.registry)
+                self._record_degraded(LADDER[rung])
             return entry
         self._last_error = error
         if breaker.record_failure():
-            report.record_breaker_open(self.registry)
+            self.registry.counter("serving.breaker_opens").inc()
         return None
 
     def _next_rung(self, key, rung: int) -> int:
@@ -192,16 +203,10 @@ class Envelope:
                 return candidate
         return len(LADDER) - 1 if rung < len(LADDER) - 1 else len(LADDER)
 
-    @staticmethod
-    def _routing_key(process, closure, params, ret_type):
-        """The breaker routing key: the closure signature under the
-        session's *base* configuration, so every rung of one closure
-        shares fate and distinct specializations never do."""
-        try:
-            return signature_of(closure, params,
-                                process._cache_config_key(ret_type)).key
-        except Exception:
-            return id(closure.cgf)
+    def _record_degraded(self, tier: str) -> None:
+        """Count one request served below the top rung of the ladder."""
+        self.registry.counter("serving.degraded").inc()
+        self.registry.labeled("serving.degraded_by_tier").inc(tier)
 
     # -- execution ---------------------------------------------------------
 
@@ -224,7 +229,7 @@ class Envelope:
         if not trusted:
             machine.distrust_block_cache()
             engine = "reference"
-            report.record_degraded("reference", self.registry)
+            self._record_degraded("reference")
         self.exec_engine = engine or machine.engine
         remaining = self.clock.remaining()
         fuel = machine.fuel
@@ -240,7 +245,7 @@ class Envelope:
                             and remaining is not None and spent >= remaining)
             if trusted and breaker is not None and not deadline_hit:
                 if breaker.record_failure():
-                    report.record_breaker_open(self.registry)
+                    self.registry.counter("serving.breaker_opens").inc()
             if deadline_hit:
                 self.clock.spent += spent
                 raise DeadlineExceeded(
@@ -256,14 +261,15 @@ class Envelope:
         return value
 
 
-def _rung_knobs(rung: int) -> dict:
-    """Compile knobs for one ladder rung (see breaker.LADDER)."""
+def _rung_knobs(rung: int, signature) -> dict:
+    """Compile knobs for one ladder rung (see breaker.LADDER).  Rungs
+    0-1 compile under the base configuration, so they reuse its
+    ``signature``; the forced back end of rung 2 shapes its own."""
     from repro.core.driver import BackendKind
 
-    if rung == 0:
-        return {"use_templates": True, "allow_fallback": False}
-    if rung == 1:
-        return {"use_templates": False, "allow_fallback": False}
+    if rung < 2:
+        return {"use_templates": rung == 0, "allow_fallback": False,
+                "signature": signature}
     # vcode and reference compile identically; they differ at execution
     return {"backend_kind": BackendKind.VCODE, "use_templates": False,
             "allow_fallback": False}

@@ -469,11 +469,21 @@ def _blank_like(metric):
 REGISTRY = MetricsRegistry()
 
 
+_CODEGEN_CYCLES = REGISTRY.histogram("compile.codegen_cycles", CYCLE_BOUNDS)
+_GENERATED_INSTRUCTIONS = REGISTRY.histogram("compile.generated_instructions",
+                                             INSTRUCTION_BOUNDS)
+#: path -> its latency histogram, bound on the path's first compile().
+_LATENCY: dict = {}
+
+
 def record_compile(path: str, cycles: int, instructions: int) -> None:
     """Per-``compile()`` distributions: total modeled codegen cycles,
     generated instructions, and the latency class of the serving path
     (``hit``/``patched``/``cold``/``fallback``)."""
-    REGISTRY.histogram("compile.codegen_cycles", CYCLE_BOUNDS).record(cycles)
-    REGISTRY.histogram("compile.generated_instructions",
-                       INSTRUCTION_BOUNDS).record(instructions)
-    REGISTRY.histogram(f"compile.latency.{path}", CYCLE_BOUNDS).record(cycles)
+    _CODEGEN_CYCLES.record(cycles)
+    _GENERATED_INSTRUCTIONS.record(instructions)
+    latency = _LATENCY.get(path)
+    if latency is None:
+        latency = _LATENCY[path] = REGISTRY.histogram(
+            f"compile.latency.{path}", CYCLE_BOUNDS)
+    latency.record(cycles)

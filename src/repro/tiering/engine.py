@@ -161,7 +161,7 @@ class TieredEngine(BlockEngine):
         tracer = getattr(self.machine, "tracer", None)
         span = None
         if tracer is not None and tracer.enabled:
-            span = tracer.begin("promote", cat="compile", entry=entry)
+            span = tracer.begin("promote", cat="tier", entry=entry)
         try:
             form = form_trace(segment.instructions, entry, self._succ,
                               horizon, self.policy)

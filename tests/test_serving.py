@@ -191,7 +191,8 @@ class TestRetries:
 
 
 class TestDegradationLadder:
-    def _icode_broken(self, monkeypatch):
+    @staticmethod
+    def _icode_broken(monkeypatch):
         # Break only *dynamic* installs; the static compiler passes
         # name=/do_link= and must keep working so sessions can start.
         original = IcodeBackend.install
@@ -316,6 +317,133 @@ class TestTelemetryRollup:
                 "requests", "completed", "failed", "retries",
                 "deadline_misses", "breaker_opens", "degraded",
             }
+
+
+class TestOneSignaturePerRequest:
+    """The envelope builds a closure's signature once per compile(): it
+    is the breaker routing key and the cache key of rungs 0-1.  Only the
+    forced VCODE rung builds another, under its own configuration."""
+
+    @staticmethod
+    def _spy(monkeypatch, fail=False):
+        from repro.core import driver
+        from repro.serving import envelope
+
+        original = driver.signature_of
+        calls = []   # (closure, params, config) per signature_of call
+
+        def spy(closure, params=(), config=()):
+            calls.append((closure, list(params), tuple(config)))
+            if fail:
+                raise CodegenError("unsignable closure (test)")
+            return original(closure, params, config)
+        monkeypatch.setattr(driver, "signature_of", spy)
+        monkeypatch.setattr(envelope, "signature_of", spy)
+        return calls
+
+    def test_hit_and_patch_build_one_signature(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        with Engine(ADDER, chaos=None).session() as s:
+            for n, path in ((10, "cold"), (10, "hit"), (11, "patched")):
+                calls.clear()
+                out = s.request("make_adder", (n,), call_args=(1,))
+                assert out.ok and out.path == path and out.value == n + 1
+                assert len(calls) == 1, path
+
+    def test_forced_vcode_rung_builds_its_own(self, monkeypatch):
+        from repro.core.options import BackendKind
+
+        TestDegradationLadder._icode_broken(monkeypatch)
+        calls = self._spy(monkeypatch)
+        with Engine(ADDER, chaos=None).session() as s:
+            out = s.request("make_adder", (10,), call_args=(5,))
+            assert out.ok and out.tier == "vcode" and out.value == 15
+            options = s.process.options
+            assert [config[:-1] for _, _, config in calls] == [
+                options.code_key(), options.code_key(BackendKind.VCODE)]
+
+    def test_breaker_key_is_the_cache_signature(self, monkeypatch):
+        from repro.frontend.typesys import INT
+        from repro.runtime.closures import signature_of
+
+        calls = self._spy(monkeypatch)
+        with Engine(ADDER, chaos=None).session() as s:
+            out = s.request("make_adder", (10,), call_args=(5,))
+            closure, params, _ = calls[0]
+            want = signature_of(closure, params,
+                                s.process._cache_config_key(INT)).key
+            assert s._entry_keys[out.entry] == want
+            assert {key for key, _ in s.breakers.states()} == {want}
+
+    def test_unsignable_closure_routes_by_cgf(self, monkeypatch):
+        calls = self._spy(monkeypatch, fail=True)
+        with Engine(ADDER, chaos=None).session() as s:
+            out = s.request("make_adder", (10,), call_args=(5,))
+            assert isinstance(out.error, RequestFailed)
+            assert isinstance(out.error.last_error, CodegenError)
+            cgfs = {id(closure.cgf) for closure, _, _ in calls}
+            assert {key for key, _ in s.breakers.states()} == cgfs
+        with Engine(ADDER, chaos=None).session(codecache=False) as s:
+            out = s.request("make_adder", (10,), call_args=(5,))
+            assert out.ok and out.value == 15
+            assert s._entry_keys[out.entry] == id(calls[-1][0].cgf)
+
+
+MIXED = ADDER + """
+int make_mul(int n) {
+    int vspec p = param(int, 0);
+    return (int)compile(`(p * $n), int);
+}
+"""
+
+
+def _mixed_stream(seed=5, count=200):
+    """(builder, n, x) requests: 70% hot, 25% warm, 5% cold."""
+    import random
+
+    rng = random.Random(seed)
+    stream = []
+    for i in range(count):
+        roll = rng.random()
+        if roll < 0.70:
+            n = rng.choice((3, 7, 11, 19))
+        elif roll < 0.95:
+            n = rng.randrange(100, 148)
+        else:
+            n = 1000 + i
+        builder = rng.choice(("make_adder", "make_mul"))
+        stream.append((builder, n, rng.randrange(-50, 50)))
+    return stream
+
+
+class TestEnvelopeIsCycleNeutral:
+    def test_session_matches_envelope_free_process(self):
+        """The same calls served through Session.request and through
+        Process.run with no envelope agree on every value and compile
+        path, the per-phase modeled codegen cycles, the generated
+        instructions, and the executed cycles."""
+        stream = _mixed_stream()
+        eng = Engine(MIXED, chaos=None, share_templates=False)
+        with eng.session() as s:
+            served = []
+            for builder, n, x in stream:
+                out = s.request(builder, (n,), call_args=(x,))
+                assert out.ok, out.error
+                served.append((out.value, out.path))
+            session = s.process
+        process = eng.program.start()
+        direct = []
+        for builder, n, x in stream:
+            entry = process.run(builder, n)
+            value = process.function(entry, "i", "i")(x)
+            direct.append((value, process._compile_path))
+        assert served == direct
+        assert {path for _, path in direct} >= {"cold", "hit", "patched"}
+        mine, theirs = session.cost.lifetime, process.cost.lifetime
+        assert (list(mine.phase_cycles().items())
+                == list(theirs.phase_cycles().items()))
+        assert mine.generated_instructions == theirs.generated_instructions
+        assert session.machine.cpu.cycles == process.machine.cpu.cycles
 
 
 WORKLOAD = [

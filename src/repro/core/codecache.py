@@ -39,9 +39,13 @@ that test must match the template's recorded value exactly.  Emission-time
 memory reads (``$arr[k]`` folds) additionally record *guards* — (address,
 width, value) triples re-checked before either tier reuses an entry.
 
-Entries are invalidated when the code segment rolls back past them, when
-an emit fault is injected, or when the segment is reset (see
-``CodeSegment.add_invalidation_listener``).
+One :class:`TemplateStore` holds the templates (and, optionally, the
+persistent disk tier behind them); a :class:`CodeCache` is one process's
+Tier-1 memo in front of it.  The store is the process's own unless a
+serving engine hands every session one shared store.  Memo entries are
+invalidated when the code segment rolls back past them or an emit fault
+is injected (see ``CodeSegment.add_invalidation_listener``); templates
+are invalidated with them only when the store is the process's own.
 """
 
 from __future__ import annotations
@@ -58,8 +62,10 @@ from repro.telemetry.metrics import REGISTRY
 #: Memo entries + templates dropped by segment rollback/fault events.
 _INVALIDATED = REGISTRY.counter("cache.invalidated")
 #: Templates evicted because their body failed its integrity checksum
-#: (cache poisoning — tampering with the shared template store).
+#: (cache poisoning — tampering with the template store).
 _POISONED = REGISTRY.counter("cache.poisoned_evictions")
+#: In-memory template matches served by an engine-shared store.
+_SHARED_HITS = REGISTRY.counter("store.shared_matches")
 
 __all__ = [
     "PatchImm",
@@ -70,6 +76,7 @@ __all__ = [
     "PatchRecorder",
     "CodeTemplate",
     "CacheEntry",
+    "TemplateStore",
     "CodeCache",
     "signature_of",
     "ClosureSignature",
@@ -79,6 +86,8 @@ __all__ = [
 MEMO_CAPACITY = 512
 #: Tier-2 templates retained per closure shape.
 TEMPLATES_PER_SHAPE = 8
+#: Lock stripes of an engine-shared template store.
+STRIPES = 16
 #: Modeled bytes patched per hole (one 32-bit immediate field).
 BYTES_PER_HOLE = 4
 
@@ -345,8 +354,8 @@ class CodeTemplate:
     Templates reference no session state — the body is a post-link copy,
     holes/relocs are positional records, and ``entry`` is only the base
     for relocation deltas — so one template can be cloned into *any*
-    machine running the same program (the shared
-    :class:`~repro.serving.store.TemplateStore` relies on this).
+    machine running the same program (a shared :class:`TemplateStore`
+    relies on this).
     """
 
     __slots__ = ("values", "patchable", "holes", "relocs", "instructions",
@@ -468,33 +477,209 @@ def _guards_hold(guards, memory) -> bool:
     return True
 
 
-class CodeCache:
-    """Per-process store of Tier-1 memo entries and Tier-2 templates.
+class TemplateStore:
+    """The Tier-2 template store: a thread-safe, lock-striped map
+    ``shape_key -> [CodeTemplate]`` (at most :data:`TEMPLATES_PER_SHAPE`
+    per shape, oldest dropped first), optionally backed by a persistent
+    on-disk tier.
 
-    ``template_store`` (optional) replaces the local Tier-2 bucket with a
-    shared, thread-safe :class:`~repro.serving.store.TemplateStore` owned
-    by a serving :class:`~repro.serving.engine.Engine`: templates are
-    position-independent copies, so many sessions can clone from one
-    store while Tier-1 memo entries — absolute addresses in *this*
-    machine's code segment — stay private.  All mutating operations are
-    guarded by a re-entrant lock; the per-session fast paths are
-    single-threaded, but segment invalidation events may arrive while
-    another thread inspects :meth:`stats`.
+    Tier-1 memo entries are absolute addresses in one machine's code
+    segment, so they can never leave their process.  Templates are the
+    opposite: post-link instruction *copies* with positional
+    hole/relocation records, referencing no session state at all.  A
+    plain ``start()`` process keeps a private one-stripe store
+    (``shared=False``); a serving :class:`~repro.serving.engine.Engine`
+    hands one shared store to every session, so each session can clone
+    templates any *other* session paid the cold-compile price for
+    (cross-session warm starts) while still installing the clone into
+    its own segment.
+
+    The ``disk`` tier (a :class:`~repro.persist.diskcache.DiskCodeCache`)
+    hangs off the store: templates added here are offered to disk
+    (write-behind), and an in-memory miss probes disk before giving up,
+    so a fresh process or engine starts warm.
+
+    Concurrency: shape keys hash onto ``stripes`` independent buckets,
+    each with its own lock, so sessions compiling unrelated closures
+    never contend.  ``match`` snapshots the candidate list under the
+    stripe lock but evaluates matches, integrity checksums, and guards
+    *outside* it: guard evaluation reads the probing session's data
+    memory, and a slow (or adversarial) memory must never stall every
+    other session hashing onto the same stripe.  Templates are immutable
+    by convention — tampering is exactly what the integrity checksum
+    catches — so the lock-free scan is safe.  A match returns a private,
+    checksum-verified copy of the template's body, so a tamper that lands
+    after the check cannot reach the installed clone.
     """
 
-    def __init__(self, enabled=True, memo_capacity=MEMO_CAPACITY,
-                 templates_per_shape=TEMPLATES_PER_SHAPE,
-                 template_store=None, disk=None):
-        self.enabled = enabled
-        self.memo_capacity = memo_capacity
+    def __init__(self, templates_per_shape: int = TEMPLATES_PER_SHAPE,
+                 stripes: int = STRIPES, disk=None, shared: bool = True):
+        if stripes < 1:
+            raise ValueError("stripes must be >= 1")
         self.templates_per_shape = templates_per_shape
-        self.template_store = template_store
-        #: Optional :class:`~repro.persist.diskcache.DiskCodeCache`; when
-        #: a shared ``template_store`` is attached, *its* disk tier wins
-        #: and this one is ignored (the engine owns persistence then).
         self.disk = disk
+        #: False for a process's own store: its templates then live and
+        #: die with that process's code segment (see CodeCache).
+        self.shared = shared
+        self._stripes = tuple(
+            (threading.RLock(), {}) for _ in range(stripes)
+        )
+
+    def _stripe(self, shape_key):
+        return self._stripes[hash(shape_key) % len(self._stripes)]
+
+    def _admit(self, shapes, shape_key, templates) -> None:
+        """Append under the stripe lock, dropping the oldest past the cap."""
+        bucket = shapes.setdefault(shape_key, [])
+        bucket.extend(templates)
+        del bucket[:max(0, len(bucket) - self.templates_per_shape)]
+
+    def add(self, shape_key, template, signature=None) -> None:
+        lock, shapes = self._stripe(shape_key)
+        with lock:
+            self._admit(shapes, shape_key, (template,))
+        # Write-behind persistence happens outside the stripe lock: disk
+        # encoding must never serialize other sessions' matches.
+        if self.disk is not None and signature is not None:
+            self.disk.offer(signature, template)
+
+    def match(self, signature, memory, segment=None):
+        """A same-shape template whose non-hole values all match, whose
+        guards hold in *this* session's memory, whose callees link into
+        ``segment``, and whose body passes its integrity checksum.  A
+        template failing the checksum was tampered with (cache
+        poisoning): it is evicted on the spot, counted, and never cloned.
+        On an in-memory miss the disk tier (when present) is probed, and
+        any loaded templates are admitted to the stripe for next time."""
+        lock, shapes = self._stripe(signature.shape_key)
+        with lock:
+            candidates = list(shapes.get(signature.shape_key, ()))
+        found = self._pick(candidates, signature, memory, segment)
+        if found is not None:
+            if self.shared:
+                _SHARED_HITS.inc()
+            return found
+        if (self.disk is not None and segment is not None
+                and signature.persistable):
+            loaded = self.disk.load(signature, segment)
+            if loaded:
+                with lock:
+                    self._admit(shapes, signature.shape_key, loaded)
+                return self._pick(loaded, signature, memory, segment)
+        return None
+
+    def _pick(self, candidates, signature, memory, segment):
+        """Lock-free scan of snapshotted candidates (see class docs).
+        Returns a :meth:`CodeTemplate.pinned` copy, so the body checked
+        is the body cloned."""
+        for template in candidates:
+            if not template.matches(signature):
+                continue
+            pinned = template.pinned()
+            if pinned is None:
+                self.evict(signature.shape_key, template)
+                _POISONED.inc()
+                continue
+            if segment is not None and not template.links_into(segment):
+                continue
+            if _guards_hold(template.guards, memory):
+                return pinned
+        return None
+
+    def evict(self, shape_key, template) -> None:
+        lock, shapes = self._stripe(shape_key)
+        with lock:
+            bucket = shapes.get(shape_key)
+            if bucket and template in bucket:
+                bucket.remove(template)
+
+    def drop_beyond(self, length) -> int:
+        """Drop every template whose body ends past ``length`` (its
+        owning segment rolled back over it); returns how many went.
+        Disk-loaded templates have ``end == 0`` and always stay."""
+        dropped = 0
+        for lock, shapes in self._stripes:
+            with lock:
+                for shape, bucket in list(shapes.items()):
+                    kept = [t for t in bucket if t.end <= length]
+                    dropped += len(bucket) - len(kept)
+                    if kept:
+                        shapes[shape] = kept
+                    else:
+                        del shapes[shape]
+        return dropped
+
+    def flush(self) -> None:
+        """Drain the disk tier's write-behind queue (no-op without one)."""
+        if self.disk is not None:
+            self.disk.flush()
+
+    def tamper_first(self) -> bool:
+        """Chaos hook: corrupt one operand of one stored template in
+        place (simulated cache poisoning; the checksum must catch it).
+        Returns True when a template was found to tamper with."""
+        for lock, shapes in self._stripes:
+            with lock:
+                for bucket in shapes.values():
+                    for template in bucket:
+                        if template.instructions:
+                            instr = template.instructions[0]
+                            instr.a = (instr.a + 1 if isinstance(instr.a, int)
+                                       else 1)
+                            return True
+        return False
+
+    def clear(self) -> int:
+        """Drop every template; returns how many went.  The disk tier
+        forgets what it handed out, so it can re-warm the store."""
+        dropped = 0
+        for lock, shapes in self._stripes:
+            with lock:
+                dropped += sum(len(b) for b in shapes.values())
+                shapes.clear()
+        if self.disk is not None:
+            self.disk.reset_probes()
+        return dropped
+
+    def stats(self) -> dict:
+        shapes = templates = 0
+        for lock, stripe_shapes in self._stripes:
+            with lock:
+                shapes += len(stripe_shapes)
+                templates += sum(len(b) for b in stripe_shapes.values())
+        out = {"shapes": shapes, "templates": templates}
+        if self.disk is not None:
+            out["disk"] = self.disk.stats()
+        return out
+
+    def __repr__(self) -> str:
+        s = self.stats()
+        return (f"<TemplateStore {s['templates']} templates / "
+                f"{s['shapes']} shapes>")
+
+
+class CodeCache:
+    """One process's Tier-1 memo in front of exactly one
+    :class:`TemplateStore` — the process's own (the default) or a
+    serving engine's shared one (``template_store``).
+
+    Memo entries are absolute addresses in *this* machine's code
+    segment, so they stay private; templates are position-independent
+    copies and live in the store.  A segment rollback or emit fault
+    always drops the affected memo entries; it drops templates only from
+    the process's own store, because a shared store's templates do not
+    reference the faulting segment and other sessions are still warm on
+    them.  Memo operations are guarded by a re-entrant lock: the
+    per-session fast paths are single-threaded, but segment invalidation
+    events may arrive while another thread inspects :meth:`stats`.
+    """
+
+    def __init__(self, enabled=True, template_store=None):
+        self.enabled = enabled
+        if template_store is None:
+            template_store = TemplateStore(stripes=1, shared=False)
+        self.template_store = template_store
         self._memo = OrderedDict()   # (shape_key, values_key) -> CacheEntry
-        self._templates = {}         # shape_key -> [CodeTemplate, ...]
         #: Surviving facts of the most recent template clone (the driver
         #: hands them to the factcheck layer after the clone links).
         self.last_clone_facts: list = []
@@ -514,57 +699,8 @@ class CodeCache:
             return entry
 
     def match_template(self, signature, memory, segment=None):
-        """Tier-2 probe: a same-shape template whose non-hole values all
-        match, whose guards still hold, and whose body passes its
-        integrity checksum.  A template that fails the checksum was
-        tampered with (cache poisoning): it is evicted on the spot and
-        never cloned.
-
-        Candidates are snapshotted under the lock but matched/verified
-        *outside* it — guard evaluation reads session memory, which must
-        never stall other threads' stores.  When an in-memory miss falls
-        through and a disk tier is attached, previously persisted
-        templates for this shape are loaded (digest-checked and
-        link-verified against ``segment``) and admitted to the bucket.
-        """
-        if self.template_store is not None:
-            return self.template_store.match(signature, memory, segment)
-        with self._lock:
-            candidates = list(self._templates.get(signature.shape_key, ()))
-        found = self._pick(candidates, signature, memory, segment)
-        if found is not None:
-            return found
-        loaded = self._load_from_disk(signature, segment)
-        if loaded:
-            with self._lock:
-                bucket = self._templates.setdefault(signature.shape_key, [])
-                bucket.extend(loaded)
-                while len(bucket) > self.templates_per_shape:
-                    bucket.pop(0)
-            return self._pick(loaded, signature, memory, segment)
-        return None
-
-    def _pick(self, candidates, signature, memory, segment):
-        """Scan candidate templates lock-free; evict poisoned ones.
-        Returns a :meth:`CodeTemplate.pinned` copy."""
-        for template in candidates:
-            if not template.matches(signature):
-                continue
-            pinned = template.pinned()
-            if pinned is None:
-                self.evict_template(signature, template)
-                _POISONED.inc()
-                continue
-            if segment is not None and not template.links_into(segment):
-                continue
-            if _guards_hold(template.guards, memory):
-                return pinned
-        return None
-
-    def _load_from_disk(self, signature, segment):
-        if self.disk is None or segment is None or not signature.persistable:
-            return []
-        return self.disk.load(signature, segment)
+        """Tier-2 probe (see :meth:`TemplateStore.match`)."""
+        return self.template_store.match(signature, memory, segment)
 
     # -- stores -----------------------------------------------------------
 
@@ -573,8 +709,8 @@ class CodeCache:
 
         Hole-less bodies (every origin pinned, or no ``$`` leaves at
         all) are normally not worth a template — the Tier-1 memo already
-        covers exact replays — but when a disk tier is attached they are
-        captured anyway: a *fresh* process has no memo, and an exact
+        covers exact replays — but when the store has a disk tier they
+        are captured anyway: a *fresh* process has no memo, and an exact
         replay served by clone+patch is still vastly cheaper than a cold
         compile.
         """
@@ -600,23 +736,14 @@ class CodeCache:
             self._memo_put(signature.key,
                            CacheEntry(entry, end, list(recorder.guards),
                                       cold_cycles))
-            if recorder.instructions is None:
-                return
-            persisting = self._disk_tier() is not None
-            if not (recorder.patchable_origins()
-                    or (persisting and signature.persistable)):
-                return
-            template = CodeTemplate(recorder, end, cold_cycles)
-            if self.template_store is not None:
-                self.template_store.add(signature.shape_key, template,
-                                        signature)
-                return
-            bucket = self._templates.setdefault(signature.shape_key, [])
-            bucket.append(template)
-            if len(bucket) > self.templates_per_shape:
-                bucket.pop(0)
-        if self.disk is not None:
-            self.disk.offer(signature, template)
+        if recorder.instructions is None:
+            return
+        if (recorder.patchable_origins()
+                or (self.template_store.disk is not None
+                    and signature.persistable)):
+            self.template_store.add(
+                signature.shape_key,
+                CodeTemplate(recorder, end, cold_cycles), signature)
 
     def store_patched(self, signature, template, entry, end) -> None:
         """A Tier-2 clone is itself a valid Tier-1 entry for its key."""
@@ -627,35 +754,13 @@ class CodeCache:
                            CacheEntry(entry, end, list(template.guards),
                                       template.cold_cycles))
 
-    def evict_template(self, signature, template) -> None:
-        """Drop one template (failed clone audit, poisoning, ...)."""
-        if self.template_store is not None:
-            self.template_store.evict(signature.shape_key, template)
-            return
-        with self._lock:
-            bucket = self._templates.get(signature.shape_key)
-            if bucket and template in bucket:
-                bucket.remove(template)
-
     def tamper_first(self) -> bool:
-        """Chaos hook: corrupt one operand of one retained template in
-        place (simulated cache poisoning; the checksum must catch it).
-        Returns True when a template was found to tamper with."""
-        if self.template_store is not None:
-            return self.template_store.tamper_first()
-        with self._lock:
-            for bucket in self._templates.values():
-                for template in bucket:
-                    if template.instructions:
-                        instr = template.instructions[0]
-                        instr.a = (instr.a + 1
-                                   if isinstance(instr.a, int) else 1)
-                        return True
-        return False
+        """Chaos hook (see :meth:`TemplateStore.tamper_first`)."""
+        return self.template_store.tamper_first()
 
     def _memo_put(self, key, entry) -> None:
         self._memo[key] = entry
-        while len(self._memo) > self.memo_capacity:
+        while len(self._memo) > MEMO_CAPACITY:
             self._memo.popitem(last=False)
 
     # -- Tier-2 instantiation ---------------------------------------------
@@ -743,71 +848,48 @@ class CodeCache:
     def on_segment_event(self, kind, length=None) -> None:
         """CodeSegment invalidation listener (see program.py).
 
-        Both kinds only touch *this* cache's state: memo entries are
-        machine-specific, and templates in a shared store are post-link
-        copies that do not reference the faulting segment, so a
-        session-local fault must not evict another session's warm
-        templates.
+        Memo entries are always this machine's; templates are dropped
+        only from the process's own store (see the class docs).
         """
+        if kind != "rollback":  # "fault" or anything else: drop everything
+            self.clear()
+            return
         with self._lock:
-            if kind == "rollback":
-                stale = [k for k, e in self._memo.items() if e.end > length]
-                for k in stale:
-                    del self._memo[k]
-                _INVALIDATED.inc(len(stale))
-                for shape, bucket in list(self._templates.items()):
-                    kept = [t for t in bucket if t.end <= length]
-                    _INVALIDATED.inc(len(bucket) - len(kept))
-                    if kept:
-                        self._templates[shape] = kept
-                    else:
-                        del self._templates[shape]
-            else:  # "fault" or anything else: be conservative, drop everything
-                self.clear()
+            stale = [k for k, e in self._memo.items() if e.end > length]
+            for k in stale:
+                del self._memo[k]
+        dropped = len(stale)
+        if not self.template_store.shared:
+            dropped += self.template_store.drop_beyond(length)
+        _INVALIDATED.inc(dropped)
 
     def clear(self) -> None:
         with self._lock:
-            _INVALIDATED.inc(len(self._memo)
-                             + sum(len(b) for b in self._templates.values()))
+            dropped = len(self._memo)
             self._memo.clear()
-            self._templates.clear()
-        if self.disk is not None:
-            # The in-memory tiers just lost everything; let the disk tier
-            # hand its templates out again on the next probes.
-            self.disk.reset_probes()
+        if not self.template_store.shared:
+            dropped += self.template_store.clear()
+        _INVALIDATED.inc(dropped)
 
     # -- disk tier ---------------------------------------------------------
 
-    def _disk_tier(self):
-        """The effective disk tier: the shared store's when attached."""
-        if self.template_store is not None:
-            return getattr(self.template_store, "disk", None)
-        return self.disk
-
     def flush(self) -> None:
         """Drain write-behind persistence (no-op without a disk tier)."""
-        disk = self._disk_tier()
-        if disk is not None:
-            disk.flush()
+        self.template_store.flush()
 
     def corrupt_disk_first(self) -> bool:
         """Chaos hook (``corrupt_disk``): tamper with one persisted
         entry; a harmless no-op when no disk tier is configured."""
-        disk = self._disk_tier()
-        if disk is None:
-            return False
-        return disk.corrupt_first()
+        disk = self.template_store.disk
+        return disk is not None and disk.corrupt_first()
 
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
+        """Memo size plus the stats of the store actually in use."""
         with self._lock:
-            out = {
-                "memo_entries": len(self._memo),
-                "template_shapes": len(self._templates),
-                "templates": sum(len(b) for b in self._templates.values()),
-            }
-        disk = self._disk_tier()
-        if disk is not None:
-            out["disk"] = disk.stats()
+            out = {"memo_entries": len(self._memo)}
+        store = self.template_store.stats()
+        out["template_shapes"] = store.pop("shapes")
+        out.update(store)
         return out

@@ -25,7 +25,12 @@ import re
 
 from repro import report
 from repro.core.cgf import CGF
-from repro.core.codecache import BYTES_PER_HOLE, CodeCache, PatchRecorder
+from repro.core.codecache import (
+    BYTES_PER_HOLE,
+    CodeCache,
+    PatchRecorder,
+    TemplateStore,
+)
 from repro.core.interp import Interp, MemCell, PyCell
 from repro.core.lowering import CodeGen, EmitCtx, cls_of
 from repro.core.options import BackendKind, Options, resolve_verify
@@ -50,6 +55,12 @@ from repro.telemetry import trace as _trace
 from repro.vcode.machine import VcodeBackend
 from repro.verify import codeaudit, factcheck, ticklint
 
+#: Specialization-cache counters (read back by ``report.cache_stats``).
+_CACHE_HITS = _metrics.REGISTRY.counter("cache.hits")
+_CACHE_MISSES = _metrics.REGISTRY.counter("cache.misses")
+_CACHE_PATCHED = _metrics.REGISTRY.counter("cache.patched")
+_CACHE_PATCHED_BYTES = _metrics.REGISTRY.counter("cache.patched_bytes")
+_CACHE_CYCLES_SAVED = _metrics.REGISTRY.counter("cache.cycles_saved")
 
 #: Library routines available to every program (tcc links a small run-time
 #: library; these are the pieces the benchmarks need).
@@ -220,16 +231,18 @@ class Process:
         # (deadline + retries + circuit breakers) instead of the plain
         # single-attempt path below.
         self.envelope = None
-        disk = None
-        if (options.codecache_dir and options.codecache
-                and options.template_store is None):
-            from repro.persist import DiskCodeCache, program_namespace
+        store = options.template_store
+        if store is None:
+            disk = None
+            if options.codecache_dir and options.codecache:
+                from repro.persist import DiskCodeCache, program_namespace
 
-            disk = DiskCodeCache(options.codecache_dir,
-                                 program_key=program_namespace(program.source))
+                disk = DiskCodeCache(
+                    options.codecache_dir,
+                    program_key=program_namespace(program.source))
+            store = TemplateStore(stripes=1, disk=disk, shared=False)
         self.codecache = CodeCache(enabled=options.codecache,
-                                   template_store=options.template_store,
-                                   disk=disk)
+                                   template_store=store)
         machine.code.add_invalidation_listener(self.codecache.on_segment_event)
         self._strings: dict = {}
         self._static_entries: dict = {}
@@ -491,7 +504,7 @@ class Process:
                                          use_templates=use_templates)
                 if entry is not None:
                     return self._note_compiled(entry, closure)
-                report.record_cache_miss()
+                _CACHE_MISSES.inc()
             recorder = (PatchRecorder(signature)
                         if signature is not None else None)
             try:
@@ -596,9 +609,9 @@ class Process:
         hit = cache.lookup(signature, memory)
         if hit is not None:
             self.last_codegen_stats = self.cost.end_instantiation()
-            report.record_cache_hit(
-                hit.cold_cycles - self.last_codegen_stats.total_cycles()
-            )
+            _CACHE_HITS.inc()
+            _CACHE_CYCLES_SAVED.inc(max(
+                hit.cold_cycles - self.last_codegen_stats.total_cycles(), 0))
             self._compile_path = "hit"
             return hit.entry
         if not use_templates:
@@ -644,10 +657,10 @@ class Process:
         machine.code.commit()
         cache.store_patched(signature, template, entry, machine.code.here)
         self.last_codegen_stats = self.cost.end_instantiation()
-        report.record_cache_patch(
-            len(template.holes) * BYTES_PER_HOLE,
-            template.cold_cycles - self.last_codegen_stats.total_cycles(),
-        )
+        _CACHE_PATCHED.inc()
+        _CACHE_PATCHED_BYTES.inc(len(template.holes) * BYTES_PER_HOLE)
+        _CACHE_CYCLES_SAVED.inc(max(
+            template.cold_cycles - self.last_codegen_stats.total_cycles(), 0))
         self._compile_path = "patched"
         return entry
 

@@ -169,13 +169,15 @@ class Options:
         True, "reuse dynamic code across compile() calls (Tier-1 memo "
         "and Tier-2 templates, see repro.core.codecache)", _flag)
     codecache_dir: object = _opt(
-        None, "directory of the persistent template cache (None: "
-        "$REPRO_CODECACHE_DIR, else off); ignored with a template_store, "
-        "whose engine owns persistence (see repro.persist)",
+        None, "directory of the persistent template cache behind the "
+        "process's own template store (None: $REPRO_CODECACHE_DIR, else "
+        "off); ignored with a template_store, which carries its own disk "
+        "tier (see repro.persist)",
         _codecache_dir)
     template_store: object = _opt(
-        None, "a shared repro.serving.store.TemplateStore backing the "
-        "Tier-2 templates")
+        None, "a shared repro.core.codecache.TemplateStore to use instead "
+        "of the process's own; segment faults then drop only this "
+        "process's memo, never the shared templates")
     spec_fuel: object = _opt(
         DEFAULT_SPEC_FUEL, "spec-time interpreter step budget per run() "
         "(None: unlimited)", _count(0))

@@ -57,7 +57,7 @@ from repro.persist.format import (
     encode_template,
     isa_fingerprint,
 )
-from repro.telemetry.metrics import REGISTRY
+from repro.telemetry.metrics import REGISTRY, Counter
 
 #: Entry files kept per program namespace before LRU eviction kicks in.
 DEFAULT_MAX_ENTRIES = 4096
@@ -67,11 +67,9 @@ DEFAULT_FLUSH_EVERY = 8
 LOAD_LATENCY_BOUNDS = (50, 100, 250, 500, 1_000, 2_500, 5_000,
                        10_000, 25_000, 100_000)
 
-_HITS = REGISTRY.counter("cache.disk.hits")
-_MISSES = REGISTRY.counter("cache.disk.misses")
-_LOADS = REGISTRY.counter("cache.disk.loads")
-_EVICTIONS = REGISTRY.counter("cache.disk.evictions")
-_REJECTS = REGISTRY.counter("cache.disk.rejects")
+#: Process-wide disk-tier counters; every handle also keeps its own.
+_COUNTERS = {key: REGISTRY.counter(f"cache.disk.{key}") for key in
+             ("hits", "misses", "loads", "evictions", "rejects")}
 _LOAD_LATENCY = REGISTRY.histogram("cache.disk.load_us", LOAD_LATENCY_BOUNDS)
 
 #: Live caches flushed by one process-exit hook (weak: a cache dropped
@@ -107,6 +105,7 @@ class DiskCodeCache:
         # shape digest -> template digests already handed to this process
         # (so repeated misses on one shape don't re-read and re-admit)
         self._probed: dict = {}
+        self._counts = {key: Counter(key) for key in _COUNTERS}
         global _EXIT_HOOKED
         _LIVE.add(self)
         if not _EXIT_HOOKED:
@@ -114,6 +113,10 @@ class DiskCodeCache:
 
             atexit.register(_flush_all_at_exit)
             _EXIT_HOOKED = True
+
+    def _count(self, key: str, n: int = 1) -> None:
+        _COUNTERS[key].inc(n)
+        self._counts[key].inc(n)
 
     # -- paths -------------------------------------------------------------
 
@@ -160,7 +163,7 @@ class DiskCodeCache:
             with open(path, "r") as fh:
                 text = fh.read()
         except OSError:
-            _MISSES.inc()
+            self._count("misses")
             return []
         out, corrupt = [], False
         try:
@@ -169,11 +172,12 @@ class DiskCodeCache:
                 raise ValueError("entry is not an object")
         except ValueError:
             payload, corrupt = None, True
-            _REJECTS.inc()
+            self._count("rejects")
         if payload is not None:
             if (payload.get("format") != FORMAT_VERSION
                     or payload.get("fingerprint") != self._fingerprint):
-                _MISSES.inc()  # a different world's entry: silently skip
+                # a different world's entry: silently skip
+                self._count("misses")
                 return []
             seen = self._probed.setdefault(digest, set())
             for raw in payload.get("templates", ()):
@@ -183,7 +187,7 @@ class DiskCodeCache:
                 try:
                     template = decode_template(raw)
                 except CorruptEntry:
-                    _REJECTS.inc()
+                    self._count("rejects")
                     corrupt = True
                     continue
                 if (segment is not None
@@ -196,14 +200,14 @@ class DiskCodeCache:
             self._discard(path)
         _LOAD_LATENCY.record((time.perf_counter() - t0) * 1e6)
         if out:
-            _LOADS.inc(len(out))
-            _HITS.inc()
+            self._count("loads", len(out))
+            self._count("hits")
             try:
                 os.utime(path)  # LRU touch: loads are the hit counter
             except OSError:
                 pass
         else:
-            _MISSES.inc()
+            self._count("misses")
         return out
 
     def _discard(self, path: str) -> None:
@@ -322,7 +326,7 @@ class DiskCodeCache:
         for _mtime, _size, path in sorted(entries)[:extra]:
             try:
                 os.remove(path)
-                _EVICTIONS.inc()
+                self._count("evictions")
             except OSError:
                 pass
 
@@ -363,17 +367,15 @@ class DiskCodeCache:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
+        """This handle's directory contents and its own probe counters
+        (the process-wide totals are the ``cache.disk.*`` metrics)."""
         entries = self._scan()
         return {
             "dir": self.dir,
             "entries": len(entries),
             "bytes": sum(size for _m, size, _p in entries),
             "pending": len(self._pending),
-            "hits": _HITS.value,
-            "misses": _MISSES.value,
-            "loads": _LOADS.value,
-            "evictions": _EVICTIONS.value,
-            "rejects": _REJECTS.value,
+            **{key: c.value for key, c in self._counts.items()},
         }
 
     def __repr__(self) -> str:

@@ -32,7 +32,7 @@ from repro.telemetry import metrics as _metrics
 
 # The heavyweight repro.apps/analysis imports live inside the report
 # functions: the driver imports this module at module level (for the
-# fallback and cache counters), and the apps import the driver.
+# fallback counter), and the apps import the driver.
 
 SERIES = [
     ("icode", "lcc"),
@@ -72,23 +72,6 @@ def fallback_stats() -> dict:
 
 _CACHE_KEYS = ("hits", "misses", "patched", "patched_bytes", "cycles_saved")
 _CACHE = {key: _REGISTRY.counter(f"cache.{key}") for key in _CACHE_KEYS}
-
-def record_cache_hit(cycles_saved: int = 0) -> None:
-    """Record one Tier-1 memo hit."""
-    _CACHE["hits"].inc()
-    _CACHE["cycles_saved"].inc(max(int(cycles_saved), 0))
-
-
-def record_cache_patch(patched_bytes: int, cycles_saved: int = 0) -> None:
-    """Record one Tier-2 template instantiation."""
-    _CACHE["patched"].inc()
-    _CACHE["patched_bytes"].inc(int(patched_bytes))
-    _CACHE["cycles_saved"].inc(max(int(cycles_saved), 0))
-
-
-def record_cache_miss() -> None:
-    """Record one cold compile (cache enabled but no reuse possible)."""
-    _CACHE["misses"].inc()
 
 
 def cache_stats() -> dict:

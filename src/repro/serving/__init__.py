@@ -9,12 +9,12 @@ ICODE → VCODE → reference interpreter).  See INTERNALS.md ("Serving
 engine") for the design.
 """
 
+from repro.core.codecache import TemplateStore
 from repro.serving.breaker import LADDER, BreakerBoard, CircuitBreaker
 from repro.serving.chaos import KINDS as CHAOS_KINDS
 from repro.serving.chaos import ChaosPlan, chaos_matrix
 from repro.serving.engine import Engine, RequestOutcome, Session
 from repro.serving.envelope import DeadlineClock, Envelope, RetryPolicy
-from repro.serving.store import TemplateStore
 
 __all__ = [
     "Engine",

@@ -2,7 +2,7 @@
 
 One :class:`Engine` owns everything that is immutable or thread-safe —
 the statically compiled program, the shared Tier-2
-:class:`~repro.serving.store.TemplateStore`, the engine-level chaos
+:class:`~repro.core.codecache.TemplateStore`, the engine-level chaos
 schedule — and hands out :class:`Session` objects.  Each session owns
 everything mutable: its own :class:`~repro.target.cpu.Machine` (code
 segment, data memory, CPU), its own :class:`~repro.core.driver.Process`
@@ -33,6 +33,7 @@ from contextlib import contextmanager
 import time
 
 from repro import report
+from repro.core.codecache import TemplateStore
 from repro.core.driver import CompiledProgram, TccCompiler
 from repro.core.options import Options, default_codecache_dir
 from repro.errors import DeadlineExceeded, RuntimeTccError, TccError
@@ -42,7 +43,6 @@ from repro.obs.slo import SloEngine, SloPolicy, default_policy
 from repro.serving.breaker import LADDER, BreakerBoard
 from repro.serving.chaos import ChaosPlan, from_env
 from repro.serving.envelope import DeadlineClock, Envelope, RetryPolicy
-from repro.serving.store import TemplateStore
 from repro.telemetry.metrics import REGISTRY, MetricsRegistry, exemplar_context
 from repro.tiering import SharedHotness
 
@@ -90,7 +90,7 @@ class Engine:
     """The shared half of the serving system; a session factory."""
 
     def __init__(self, source, *, share_templates: bool = True,
-                 templates_per_shape: int = 8, verify: str | None = None,
+                 verify: str | None = None,
                  chaos: ChaosPlan | None | object = _UNSET,
                  codecache_dir: str | None = None,
                  slo: object = _UNSET, recorder: object = _UNSET,
@@ -124,20 +124,21 @@ class Engine:
             self.program = TccCompiler(verify=verify).compile(source)
         if codecache_dir is None:
             codecache_dir = default_codecache_dir()
-        self.disk = None
-        if codecache_dir:
-            from repro.persist import DiskCodeCache, program_namespace
-
-            self.disk = DiskCodeCache(
-                codecache_dir,
-                program_key=program_namespace(self.program.source))
-        self.store = (TemplateStore(templates_per_shape=templates_per_shape,
-                                    disk=self.disk)
-                      if share_templates else None)
+        self.store = None
         self.session_defaults = dict(session_defaults)
-        if self.store is None and codecache_dir:
-            # No shared store to hang the disk tier on: give each session
-            # its own handle (same directory; safe under the shard locks).
+        if share_templates:
+            disk = None
+            if codecache_dir:
+                from repro.persist import DiskCodeCache, program_namespace
+
+                disk = DiskCodeCache(
+                    codecache_dir,
+                    program_key=program_namespace(self.program.source))
+            self.store = TemplateStore(disk=disk)
+        elif codecache_dir:
+            # No shared store to hang the disk tier on: each session's own
+            # store gets a handle (same directory; safe under the shard
+            # locks).
             self.session_defaults.setdefault("codecache_dir", codecache_dir)
         if verify is not None:
             self.session_defaults.setdefault("verify", verify)
@@ -211,8 +212,6 @@ class Engine:
         }
         if self.store is not None:
             out["store"] = self.store.stats()
-        elif self.disk is not None:
-            out["disk"] = self.disk.stats()
         return out
 
     def dump_blackbox(self) -> dict:

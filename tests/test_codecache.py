@@ -9,11 +9,11 @@ from repro.core.codecache import (
     CacheEntry,
     CodeCache,
     PatchImm,
+    TemplateStore,
     _guards_hold,
 )
 from repro.errors import VerifyError
 from repro.runtime.costmodel import Phase
-from repro.serving.store import TemplateStore
 from repro.target.memory import Memory
 from repro.telemetry.metrics import REGISTRY
 from tests.conftest import BACKENDS, compile_c
@@ -392,3 +392,95 @@ class TestTransactionalClone:
         assert proc._compile_path == "patched"
         assert proc.function(entry, "i", "i")(1) == 43
         assert proc.function(entry, "i", "i")(-42) == 0
+
+
+def _counter(name):
+    return REGISTRY.counter(name).value
+
+
+class TestOneTemplateStore:
+    """A process's own store and an engine-shared store are the same
+    TemplateStore class; only who owns it differs."""
+
+    def test_own_and_shared_store_serve_identically(self):
+        """One seeded hot/warm/cold stream through a plain start()
+        process (its own store) and through an Engine session (the
+        engine's shared store) agrees on every value and compile path,
+        the per-phase modeled codegen cycles in order, the generated
+        instructions, and the executed cycles."""
+        import random
+
+        from repro.serving import Engine
+
+        rng = random.Random(15)
+        stream = [(rng.choice((1, 2, 3, 5, 8, 13)), rng.randrange(-50, 50))
+                  for _ in range(60)]
+        process = compile_c(ADDER)
+        direct = []
+        for n, x in stream:
+            entry = process.run("build", n)
+            direct.append((process.function(entry, "i", "i")(x),
+                           process._compile_path))
+        engine = Engine(ADDER, chaos=None, share_templates=True)
+        with engine.session() as s:
+            served = []
+            for n, x in stream:
+                out = s.request("build", (n,), call_args=(x,))
+                assert out.ok, out.error
+                served.append((out.value, out.path))
+            session = s.process
+        assert not process.codecache.template_store.shared
+        assert session.codecache.template_store is engine.store
+        assert served == direct
+        assert {path for _, path in direct} == {"cold", "hit", "patched"}
+        mine, theirs = session.cost.lifetime, process.cost.lifetime
+        assert (list(mine.phase_cycles().items())
+                == list(theirs.phase_cycles().items()))
+        assert mine.generated_instructions == theirs.generated_instructions
+        assert session.machine.cpu.cycles == process.machine.cpu.cycles
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+class TestStoreOwnership:
+    """Segment faults always drop the memo but drop templates only from
+    the process's own store; shared matches are counted only for an
+    engine-shared store."""
+
+    @staticmethod
+    def _proc(shared):
+        return compile_c(ADDER,
+                         template_store=TemplateStore() if shared else None)
+
+    def test_rollback(self, shared):
+        proc = self._proc(shared)
+        proc.machine.code.mark()
+        proc.run("build", 10)
+        assert proc.codecache.stats()["templates"] == 1
+        invalidated = _counter("cache.invalidated")
+        proc.machine.code.release()
+        stats = proc.codecache.stats()
+        assert stats["memo_entries"] == 0
+        assert stats["templates"] == (1 if shared else 0)
+        assert (_counter("cache.invalidated") - invalidated
+                == (1 if shared else 2))
+
+    def test_emit_fault(self, shared):
+        proc = self._proc(shared)
+        proc.run("build", 10)
+        proc.run("build", 42)                       # memo holds two
+        invalidated = _counter("cache.invalidated")
+        proc.machine.code.inject_emit_failure(100_000)
+        stats = proc.codecache.stats()
+        assert stats["memo_entries"] == 0
+        assert stats["templates"] == (1 if shared else 0)
+        assert (_counter("cache.invalidated") - invalidated
+                == (2 if shared else 3))
+
+    def test_shared_matches(self, shared):
+        proc = self._proc(shared)
+        proc.run("build", 10)
+        matches = _counter("store.shared_matches")
+        proc.run("build", 42)
+        assert proc._compile_path == "patched"
+        assert (_counter("store.shared_matches") - matches
+                == (1 if shared else 0))

@@ -188,7 +188,8 @@ class TestLegacyViews:
                               f"reason {DEFAULT_EVENT_CAPACITY + 9}")
 
     def test_views_track_registry(self):
-        report.record_cache_hit(100)
+        metrics.REGISTRY.counter("cache.hits").inc()
+        metrics.REGISTRY.counter("cache.cycles_saved").inc(100)
         report.record_verify("ticklint", 0, 0.5)
         assert report.cache_stats()["hits"] == 1
         assert report.verify_stats()["checks_run"] == 1

@@ -7,7 +7,7 @@ from __future__ import annotations
 import threading
 
 from repro import TccCompiler
-from repro.serving.store import TemplateStore
+from repro.core.codecache import TemplateStore
 from repro.target.program import CodeSegment
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -128,9 +128,10 @@ class TestTemplateStore:
         out = []
         for n in range(count):
             process.run("make_adder", n)
-        for shape, bucket in process.codecache._templates.items():
-            for template in bucket:
-                out.append((shape, template))
+        for _lock, shapes in process.codecache.template_store._stripes:
+            for shape, bucket in shapes.items():
+                for template in bucket:
+                    out.append((shape, template))
         return out
 
     def test_concurrent_add_match_evict(self):
